@@ -8,6 +8,7 @@ No network access is needed; the only backend is the bundled spotter.
 """
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -18,18 +19,8 @@ from audiomorph.campaign import (
     replay_campaign,
     run_campaign,
 )
+from audiomorph.cli import _print_summary
 from audiomorph.deskcorpus import build_corpus
-
-
-def print_cells(report) -> None:
-    width = max(len(c.mr) for c in report.cells)
-    for cell in report.cells:
-        efr = "null" if cell.efr is None else f"{cell.efr:.1f}"
-        print(
-            f"  {cell.mr:<{width}}  {cell.category:<8} "
-            f"generated={cell.generated:<3} misclassified={cell.misclassified:<3} "
-            f"unanswered={cell.unanswered:<3} efr={efr}"
-        )
 
 
 def main() -> int:
@@ -58,13 +49,7 @@ def main() -> int:
 
     config = CampaignConfig.from_file(config_path)
     if args.workers != config.workers:
-        config = CampaignConfig(
-            seeds=config.seeds,
-            mrs=config.mrs,
-            backend_configs=config.backend_configs,
-            output_dir=config.output_dir,
-            workers=args.workers,
-        )
+        config = dataclasses.replace(config, workers=args.workers)
 
     started = time.perf_counter()
     report = run_campaign(config)
@@ -76,8 +61,8 @@ def main() -> int:
     if report.no_seeds:
         print("every seed was filtered out; nothing to measure")
         return 3
-    print(f"cells ({len(report.cells)}):")
-    print_cells(report)
+    print(f"cells ({len(report.cells)}):", flush=True)
+    _print_summary(report)
     print(f"report: {report.report_json}")
 
     if args.export_split is not None:

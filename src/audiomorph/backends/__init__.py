@@ -61,12 +61,8 @@ class ModerationBackend:
 
     name: str = "backend"
 
-    def moderate(self, audio: AudioBuffer, transcript_hint=None) -> Verdict:
+    def moderate(self, audio: AudioBuffer) -> Verdict:
         raise NotImplementedError
-
-
-def moderate(backend: ModerationBackend, audio: AudioBuffer, transcript_hint=None) -> Verdict:
-    return backend.moderate(audio, transcript_hint)
 
 
 def _require(options: Mapping[str, Any], field: str, kind: str):
@@ -112,6 +108,5 @@ __all__ = [
     "TOXIC_CATEGORIES",
     "Verdict",
     "ModerationBackend",
-    "moderate",
     "build_backend",
 ]

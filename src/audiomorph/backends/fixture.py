@@ -42,7 +42,7 @@ class FixtureBackend(ModerationBackend):
             )
         return cls(verdicts, name=name)
 
-    def moderate(self, audio: AudioBuffer, transcript_hint=None) -> Verdict:
+    def moderate(self, audio: AudioBuffer) -> Verdict:
         digest = content_digest(audio)
         try:
             return self._verdicts[digest]

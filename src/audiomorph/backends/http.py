@@ -139,7 +139,7 @@ class HttpBackend(ModerationBackend):
             name=name,
         )
 
-    def moderate(self, audio: AudioBuffer, transcript_hint=None) -> Verdict:
+    def moderate(self, audio: AudioBuffer) -> Verdict:
         blob = wav_bytes(audio)
         context = {
             "audio_base64": base64.b64encode(blob).decode("ascii"),

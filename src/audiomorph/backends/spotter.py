@@ -255,7 +255,7 @@ class KeywordSpotterBackend(ModerationBackend):
         self._window_s = float(window_s)
         self._hop_s = float(hop_s)
 
-    def moderate(self, audio: AudioBuffer, transcript_hint=None) -> Verdict:
+    def moderate(self, audio: AudioBuffer) -> Verdict:
         return spot_keywords(
             audio, self._templates, self._window_s, self._hop_s, self._threshold
         )

@@ -1,12 +1,18 @@
-"""Campaign engine: seed filtering, perturbation fan-out, backend querying,
-error-finding-rate aggregation, report emission, and replay.
+"""Campaign engine: a staged pipeline from seed clips to EFR reports, plus
+replay and the retraining export.
 
 A campaign takes a set of seed clips with declared toxic categories, applies
 every configured relation to every retained seed, sends the perturbed clips
 to every backend, and counts how often a backend that should still flag the
-clip answers non_toxic instead. Artifacts are content-addressed 16-bit WAVs
-next to a JSON manifest, so a finished campaign can be replayed offline
-against fixture backends and must reproduce its report byte for byte.
+clip answers non_toxic instead. ``run_campaign`` runs five stages: load
+(``_load_seeds``), probe (``filter_seeds``, the seed filter), generate+query
+(``_run_cases``: one job per case perturbs, digests, writes and queries, so
+perturbed clips never pile up), tally (``_tally``) and emit (``_emit``:
+manifest, report.json, report.csv). Every query goes through one
+``VerdictStore``, which asks each backend about each digest once. Artifacts
+are content-addressed 16-bit WAVs next to a JSON manifest, so a finished
+campaign can be replayed offline against fixture backends and must reproduce
+its report byte for byte.
 """
 
 from __future__ import annotations
@@ -15,10 +21,11 @@ import csv
 import json
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,13 +41,13 @@ from .errors import (
     ParameterError,
     ResponseMappingError,
 )
-from .perturb import Perturbation, normalize_kind
+from .perturb import Perturbation
+# benign_discontinuity_audio is unused here (perturb.OPS runs it), but
+# perfbench/tracing.py looks it up by name in this module
 from .perturb.linguistic import Transcript, benign_discontinuity_audio, load_transcript
 
 # failures of these kinds mark a single case unanswered; anything else is a bug
 _CASE_ERRORS = (BackendUnavailableError, MissingFixtureError, ResponseMappingError)
-
-_LINGUISTIC_KINDS = frozenset({"discontinuity"})
 
 
 def compute_efr(misclassified: int, answered: int) -> Optional[float]:
@@ -55,58 +62,6 @@ def compute_efr(misclassified: int, answered: int) -> Optional[float]:
     if answered == 0:
         return None
     return 100.0 * misclassified / answered
-
-
-@dataclass(frozen=True)
-class MrSpec:
-    """One metamorphic relation in a campaign: an audio perturbation kind or
-    the audio discontinuity op, plus its parameters."""
-
-    kind: str
-    params: Mapping[str, object] = field(default_factory=dict)
-
-    def __post_init__(self):
-        kind = normalize_kind(self.kind)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", dict(self.params))
-        if kind in _LINGUISTIC_KINDS:
-            for name in ("targets", "gap_s", "repeats"):
-                if name not in self.params:
-                    raise ConfigError(f"{kind} needs '{name}'", field=name)
-        else:
-            # validates the kind; parameter errors surface on apply
-            Perturbation(kind, self.params)
-
-    @property
-    def needs_transcript(self) -> bool:
-        return self.kind in _LINGUISTIC_KINDS
-
-    @property
-    def label(self) -> str:
-        inner = ",".join(f"{k}={self.params[k]}" for k in sorted(self.params))
-        return f"{self.kind}({inner})"
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    def apply(self, audio: AudioBuffer, transcript: Optional[Transcript]) -> AudioBuffer:
-        if self.kind in _LINGUISTIC_KINDS:
-            if transcript is None:
-                raise DomainError(f"{self.kind} requires a seed transcript")
-            return benign_discontinuity_audio(
-                audio,
-                transcript,
-                targets=self.params["targets"],
-                gap_s=float(self.params["gap_s"]),
-                repeats=int(self.params["repeats"]),
-            )
-        return Perturbation(self.kind, self.params).apply(audio)
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "MrSpec":
-        if "kind" not in d:
-            raise ConfigError("mr entry needs 'kind'", field="kind")
-        return cls(d["kind"], d.get("params", {}))
 
 
 @dataclass(frozen=True)
@@ -132,7 +87,7 @@ class SeedSpec:
 @dataclass(frozen=True)
 class CampaignConfig:
     seeds: Tuple[SeedSpec, ...]
-    mrs: Tuple[MrSpec, ...]
+    mrs: Tuple[Perturbation, ...]
     backend_configs: Tuple[Mapping, ...]
     output_dir: Path
     workers: int = 4
@@ -176,7 +131,7 @@ class CampaignConfig:
                     transcript_path=base_dir / transcript if transcript else None,
                 )
             )
-        mrs = tuple(MrSpec.from_dict(m) for m in d["mrs"])
+        mrs = tuple(Perturbation.from_dict(m) for m in d["mrs"])
         backends = []
         for b in d["backends"]:
             b = dict(b)
@@ -218,7 +173,7 @@ class LoadedSeed:
 @dataclass(frozen=True)
 class TestCase:
     seed_id: str
-    mr: MrSpec
+    mr: Perturbation
     digest: str
     artifact: str  # path relative to the output directory
     category: Category
@@ -276,78 +231,109 @@ def load_seed(spec: SeedSpec) -> LoadedSeed:
     return LoadedSeed(spec, audio, content_digest(audio), transcript)
 
 
-def _query(backend: ModerationBackend, audio: AudioBuffer) -> Optional[Verdict]:
+class VerdictStore:
+    """The verdicts of one campaign, keyed by (backend name, digest); None
+    marks a pair the backend left unanswered. Each pair is queried at most
+    once, also when concurrent jobs produce the same digest, so the seed
+    filter, the tally and the manifest all see one answer per pair."""
+
+    def __init__(self, backends: Sequence[ModerationBackend]):
+        if len({b.name for b in backends}) != len(backends):
+            raise ConfigError("backend names must be unique", field="backends")
+        self.backends = tuple(backends)
+        self._lock = threading.Lock()
+        self._answers: Dict[Tuple[str, str], Future] = {}
+
+    def ask_all(self, digest: str, audio: AudioBuffer) -> Tuple[Optional[Verdict], ...]:
+        """One verdict per backend, in backend order."""
+        return tuple(self._ask(backend, digest, audio) for backend in self.backends)
+
+    def _ask(
+        self, backend: ModerationBackend, digest: str, audio: AudioBuffer
+    ) -> Optional[Verdict]:
+        key = (backend.name, digest)
+        with self._lock:
+            answer = self._answers.get(key)
+            first = answer is None
+            if first:
+                answer = self._answers[key] = Future()
+        if first:
+            try:
+                answer.set_result(backend.moderate(audio))
+            except _CASE_ERRORS:
+                answer.set_result(None)
+            except BaseException as exc:
+                answer.set_exception(exc)
+        return answer.result()
+
+    def as_json(self) -> Dict[str, Dict[str, Optional[dict]]]:
+        table: Dict[str, Dict[str, Optional[dict]]] = {b.name: {} for b in self.backends}
+        for (name, digest), answer in self._answers.items():
+            table[name][digest] = _verdict_json(answer.result())
+        return table
+
+
+def _load_seeds(config: CampaignConfig) -> List[LoadedSeed]:
+    """Stage 1: read every seed, its digest and, where needed, its transcript."""
     try:
-        return backend.moderate(audio)
-    except _CASE_ERRORS:
-        return None
+        seeds = [load_seed(spec) for spec in config.seeds]
+    except OSError as exc:
+        raise CampaignError(f"cannot load seed audio: {exc}") from exc
+    if any(mr.needs_transcript for mr in config.mrs):
+        missing = [s.spec.seed_id for s in seeds if s.transcript is None]
+        if missing:
+            raise ConfigError(
+                f"discontinuity relations need aligned transcripts; "
+                f"seeds without one: {missing}",
+                field="transcript",
+            )
+    return seeds
 
 
-def _probe_seeds(
+def filter_seeds(
     seeds: Sequence[LoadedSeed],
-    backends: Sequence[ModerationBackend],
-    workers: int,
-) -> List[Tuple[LoadedSeed, str, Optional[Verdict]]]:
-    jobs = [(s, b) for s in seeds for b in backends]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        verdicts = list(pool.map(lambda sb: _query(sb[1], sb[0].audio), jobs))
-    return [(s, b.name, v) for (s, b), v in zip(jobs, verdicts)]
-
-
-def _filter_from_probes(
-    seeds: Sequence[LoadedSeed],
-    backend_names: Sequence[str],
-    probes: Sequence[Tuple[LoadedSeed, str, Optional[Verdict]]],
+    backends: Union[Sequence[ModerationBackend], VerdictStore],
+    workers: int = 4,
 ) -> Tuple[List[LoadedSeed], Dict]:
-    answered_by = {name: 0 for name in backend_names}
-    flagged_by = {name: 0 for name in backend_names}
-    matched_by = {name: 0 for name in backend_names}
-    toxic_votes: Dict[str, bool] = {s.spec.seed_id: False for s in seeds}
-    for seed, backend_name, verdict in probes:
-        if verdict is None:
-            continue
-        answered_by[backend_name] += 1
-        if verdict.is_toxic:
-            flagged_by[backend_name] += 1
-            toxic_votes[seed.spec.seed_id] = True
-            if verdict.category is seed.spec.category:
-                matched_by[backend_name] += 1
-    if all(count == 0 for count in answered_by.values()):
+    """Stage 2, the probe: drop seeds every backend calls non_toxic. A seed
+    stays when at least one backend gives it any toxic label; per-backend
+    tallies record how often each backend flagged a seed at all and how
+    often it matched the declared category. A campaign passes its verdict
+    store, so later stages reuse the seed verdicts."""
+    if not seeds:
+        raise CampaignError("no seeds to filter")
+    verdicts = backends if isinstance(backends, VerdictStore) else VerdictStore(backends)
+    if not verdicts.backends:
+        raise CampaignError("no backends configured")
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        answers = list(pool.map(lambda s: verdicts.ask_all(s.digest, s.audio), seeds))
+
+    names = [b.name for b in verdicts.backends]
+    per_backend = {
+        name: {"answered": 0, "flagged_toxic": 0, "matched_declared": 0} for name in names
+    }
+    retained = []
+    for seed, row in zip(seeds, answers):
+        for name, verdict in zip(names, row):
+            if verdict is not None:
+                counts = per_backend[name]
+                counts["answered"] += 1
+                counts["flagged_toxic"] += verdict.is_toxic
+                # declared categories are toxic, so a match is also a flag
+                counts["matched_declared"] += verdict.category is seed.spec.category
+        if any(v is not None and v.is_toxic for v in row):
+            retained.append(seed)
+    if not any(counts["answered"] for counts in per_backend.values()):
         raise CampaignError("all backends unavailable during seed filtering")
 
-    retained = [s for s in seeds if toxic_votes[s.spec.seed_id]]
     filter_report = {
         "total": len(seeds),
         "retained": len(retained),
         "excluded": len(seeds) - len(retained),
         "retained_ids": sorted(s.spec.seed_id for s in retained),
-        "per_backend": {
-            name: {
-                "answered": answered_by[name],
-                "flagged_toxic": flagged_by[name],
-                "matched_declared": matched_by[name],
-            }
-            for name in sorted(answered_by)
-        },
+        "per_backend": per_backend,
     }
     return retained, filter_report
-
-
-def filter_seeds(
-    seeds: Sequence[LoadedSeed],
-    backends: Sequence[ModerationBackend],
-    workers: int = 4,
-) -> Tuple[List[LoadedSeed], Dict]:
-    """Drop seeds every backend calls non_toxic. A seed stays when at least
-    one backend gives it any toxic label; per-backend tallies record how
-    often each backend flagged a seed at all and how often it matched the
-    declared category."""
-    if not seeds:
-        raise CampaignError("no seeds to filter")
-    if not backends:
-        raise CampaignError("no backends configured")
-    probes = _probe_seeds(seeds, backends, workers)
-    return _filter_from_probes(seeds, [b.name for b in backends], probes)
 
 
 def _write_artifact(audio: AudioBuffer, path: Path) -> None:
@@ -365,6 +351,50 @@ def _write_artifact(audio: AudioBuffer, path: Path) -> None:
         raise CampaignError(f"cannot write artifact {path}: {exc}") from exc
 
 
+Outcome = Tuple[TestCase, Tuple[Optional[Verdict], ...]]
+
+
+def _run_cases(
+    seeds: Sequence[LoadedSeed], verdicts: VerdictStore, config: CampaignConfig
+) -> List[Outcome]:
+    """Stage 3, generate and query: each job perturbs one seed with one
+    relation, digests the clip, writes its artifact and asks every backend,
+    so a perturbed clip lives only as long as its job. Results keep job
+    order (seed-major), which keeps the tally deterministic."""
+
+    def run_case(job: Tuple[LoadedSeed, Perturbation]) -> Outcome:
+        seed, mr = job
+        perturbed = mr.apply(seed.audio, seed.transcript)
+        digest = content_digest(perturbed)
+        artifact = f"artifacts/{digest}.wav"
+        _write_artifact(perturbed, config.output_dir / artifact)
+        case = TestCase(seed.spec.seed_id, mr, digest, artifact, seed.spec.category)
+        return case, verdicts.ask_all(digest, perturbed)
+
+    jobs = [(s, m) for s in seeds for m in config.mrs]
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        return list(pool.map(run_case, jobs))
+
+
+def _tally(outcomes: Sequence[Outcome], backend_names: Sequence[str]) -> Tuple[Cell, ...]:
+    """Stage 4: count every (case, backend) answer into its cell."""
+    cells: Dict[Tuple[str, str, str], Cell] = {}
+    for case, row in outcomes:
+        for name, verdict in zip(backend_names, row):
+            key = (case.mr.label, case.category.value, name)
+            cell = cells.get(key)
+            if cell is None:
+                cell = cells[key] = Cell(*key)
+            cell.generated += 1
+            if verdict is None:
+                cell.unanswered += 1
+            elif not verdict.is_toxic:
+                cell.misclassified += 1
+            elif verdict.category is not case.category:
+                cell.drift += 1
+    return tuple(cells[key] for key in sorted(cells))
+
+
 def _dump_json(obj, path: Path) -> None:
     path.write_text(
         json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -377,85 +407,18 @@ def _verdict_json(verdict: Optional[Verdict]) -> Optional[dict]:
     return {"category": verdict.category.value, "confidence": verdict.confidence}
 
 
-def run_campaign(
+def _emit(
     config: CampaignConfig,
-    backends: Optional[Sequence[ModerationBackend]] = None,
+    seeds: Sequence[LoadedSeed],
+    outcomes: Sequence[Outcome],
+    cells: Tuple[Cell, ...],
+    filter_report: Dict,
+    verdicts: VerdictStore,
 ) -> CampaignReport:
-    """Execute the full protocol and persist artifacts, manifest, and the
-    JSON+CSV reports under config.output_dir. Backend objects may be passed
-    directly (replay, tests); otherwise they are built from the config."""
-    if backends is None:
-        backends = [build_backend(cfg) for cfg in config.backend_configs]
-    if len({b.name for b in backends}) != len(backends):
-        raise ConfigError("backend names must be unique", field="backends")
-
-    needs_transcript = any(mr.needs_transcript for mr in config.mrs)
-    try:
-        seeds = [load_seed(spec) for spec in config.seeds]
-    except OSError as exc:
-        raise CampaignError(f"cannot load seed audio: {exc}") from exc
-    if needs_transcript:
-        missing = [s.spec.seed_id for s in seeds if s.transcript is None]
-        if missing:
-            raise ConfigError(
-                f"discontinuity relations need aligned transcripts; "
-                f"seeds without one: {missing}",
-                field="transcript",
-            )
-
+    """Stage 5: write manifest.json, report.json and report.csv."""
     out_dir = config.output_dir
-    artifacts_dir = out_dir / "artifacts"
-    artifacts_dir.mkdir(parents=True, exist_ok=True)
-
-    probes = _probe_seeds(seeds, backends, config.workers)
-    retained, filter_report = _filter_from_probes(
-        seeds, [b.name for b in backends], probes
-    )
-
-    # seed verdicts go in the manifest so replay can re-run the filter
-    seed_verdicts: Dict[str, Dict[str, Optional[dict]]] = {b.name: {} for b in backends}
-    for seed, backend_name, verdict in probes:
-        seed_verdicts[backend_name][seed.digest] = _verdict_json(verdict)
-
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        cases: List[TestCase] = []
-        case_audio: Dict[str, AudioBuffer] = {}
-
-        def generate(seed: LoadedSeed, mr: MrSpec) -> Tuple[TestCase, AudioBuffer]:
-            perturbed = mr.apply(seed.audio, seed.transcript)
-            digest = content_digest(perturbed)
-            rel = f"artifacts/{digest}.wav"
-            _write_artifact(perturbed, out_dir / rel)
-            return TestCase(seed.spec.seed_id, mr, digest, rel, seed.spec.category), perturbed
-
-        gen_jobs = [(s, m) for s in retained for m in config.mrs]
-        for case, audio in pool.map(lambda sm: generate(*sm), gen_jobs):
-            cases.append(case)
-            case_audio[case.digest] = audio
-
-        query_jobs = [(case, b) for case in cases for b in backends]
-        verdicts = list(
-            pool.map(lambda cb: _query(cb[1], case_audio[cb[0].digest]), query_jobs)
-        )
-
-    cells: Dict[Tuple[str, str, str], Cell] = {}
-    case_verdicts: Dict[str, Dict[str, Optional[dict]]] = {b.name: {} for b in backends}
-    for (case, backend), verdict in zip(query_jobs, verdicts):
-        key = (case.mr.label, case.category.value, backend.name)
-        cell = cells.get(key)
-        if cell is None:
-            cell = cells[key] = Cell(*key)
-        cell.generated += 1
-        if verdict is None:
-            cell.unanswered += 1
-        elif not verdict.is_toxic:
-            cell.misclassified += 1
-        elif verdict.category is not case.category:
-            cell.drift += 1
-        if verdict is not None:
-            case_verdicts[backend.name][case.digest] = _verdict_json(verdict)
-
     manifest_path = out_dir / "manifest.json"
+    cases = sorted((case for case, _ in outcomes), key=lambda c: (c.seed_id, c.mr.label))
     manifest = {
         "version": __version__,
         "seeds": [
@@ -471,11 +434,9 @@ def run_campaign(
             for s in seeds
         ],
         "mrs": [mr.describe() for mr in config.mrs],
-        "backends": [b.name for b in backends],
-        "verdicts": {
-            name: {**seed_verdicts[name], **case_verdicts[name]}
-            for name in seed_verdicts
-        },
+        "backends": [b.name for b in verdicts.backends],
+        # every queried pair, null when unanswered, so replay re-runs the filter
+        "verdicts": verdicts.as_json(),
         "cases": [
             {
                 "seed_id": c.seed_id,
@@ -484,19 +445,16 @@ def run_campaign(
                 "artifact": c.artifact,
                 "category": c.category.value,
             }
-            for c in sorted(cases, key=lambda c: (c.seed_id, c.mr.label))
+            for c in cases
         ],
         "workers": config.workers,
     }
     _dump_json(manifest, manifest_path)
 
-    ordered = tuple(
-        cells[key] for key in sorted(cells)
-    )
     report_json_path = out_dir / "report.json"
     report = {
         "version": __version__,
-        "cells": [cell.as_json() for cell in ordered],
+        "cells": [cell.as_json() for cell in cells],
         "category_drift": [
             {
                 "mr": cell.mr,
@@ -504,7 +462,7 @@ def run_campaign(
                 "backend": cell.backend,
                 "count": cell.drift,
             }
-            for cell in ordered
+            for cell in cells
             if cell.drift
         ],
         "seed_filter": filter_report,
@@ -518,7 +476,7 @@ def run_campaign(
         writer.writerow(
             ["mr", "category", "backend", "generated", "misclassified", "unanswered", "efr"]
         )
-        for cell in ordered:
+        for cell in cells:
             efr = cell.efr
             writer.writerow(
                 [
@@ -533,13 +491,31 @@ def run_campaign(
             )
 
     return CampaignReport(
-        cells=ordered,
+        cells=cells,
         seed_filter=filter_report,
         output_dir=out_dir,
         report_json=report_json_path,
         report_csv=report_csv_path,
         manifest=manifest_path,
     )
+
+
+def run_campaign(
+    config: CampaignConfig,
+    backends: Optional[Sequence[ModerationBackend]] = None,
+) -> CampaignReport:
+    """Execute the full protocol and persist artifacts, manifest, and the
+    JSON+CSV reports under config.output_dir. Backend objects may be passed
+    directly (replay, tests); otherwise they are built from the config."""
+    if backends is None:
+        backends = [build_backend(cfg) for cfg in config.backend_configs]
+    verdicts = VerdictStore(backends)
+    seeds = _load_seeds(config)
+    (config.output_dir / "artifacts").mkdir(parents=True, exist_ok=True)
+    retained, filter_report = filter_seeds(seeds, verdicts, config.workers)
+    outcomes = _run_cases(retained, verdicts, config)
+    cells = _tally(outcomes, [b.name for b in verdicts.backends])
+    return _emit(config, seeds, outcomes, cells, filter_report, verdicts)
 
 
 def replay_campaign(manifest_path, output_dir, workers: int = 4) -> CampaignReport:
@@ -576,7 +552,7 @@ def replay_campaign(manifest_path, output_dir, workers: int = 4) -> CampaignRepo
             )
             for s in manifest["seeds"]
         ),
-        mrs=tuple(MrSpec.from_dict(m) for m in manifest["mrs"]),
+        mrs=tuple(Perturbation.from_dict(m) for m in manifest["mrs"]),
         backend_configs=({"kind": "fixture", "path": "unused"},),
         output_dir=output_dir,
         workers=workers,
@@ -604,7 +580,7 @@ def export_retraining_set(
 
     groups: Dict[Tuple[str, str], List[dict]] = {}
     for case in manifest["cases"]:
-        mr_label = MrSpec.from_dict(case["mr"]).label
+        mr_label = Perturbation.from_dict(case["mr"]).label
         groups.setdefault((mr_label, case["category"]), []).append(case)
 
     rng = np.random.default_rng(seed)

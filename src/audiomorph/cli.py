@@ -11,6 +11,7 @@ failure, 3 campaign filtered every seed out.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -20,7 +21,6 @@ from . import __version__
 from .audio import WavFormatError, content_digest, read_wav, write_wav
 from .campaign import (
     CampaignConfig,
-    MrSpec,
     export_retraining_set,
     replay_campaign,
     run_campaign,
@@ -32,7 +32,7 @@ from .errors import (
     DomainError,
     ParameterError,
 )
-from .perturb import normalize_kind
+from .perturb import Perturbation, normalize_kind
 from .perturb.linguistic import (
     Transcript,
     benign_discontinuity_text,
@@ -216,14 +216,13 @@ def _cmd_perturb(args) -> int:
         print(render_text(out_t), file=sys.stderr)
         return EXIT_OK
 
-    audio = read_wav(args.input)
-    if kind == "discontinuity":
+    perturbation = Perturbation(kind, params)
+    transcript = None
+    if perturbation.needs_transcript:
         if not args.transcript:
-            raise _UsageError("discontinuity requires --transcript")
-        spec = MrSpec(kind, params)
-        perturbed = spec.apply(audio, load_transcript(args.transcript))
-    else:
-        perturbed = MrSpec(kind, params).apply(audio, None)
+            raise _UsageError(f"{kind} requires --transcript")
+        transcript = load_transcript(args.transcript)
+    perturbed = perturbation.apply(read_wav(args.input), transcript)
     write_wav(perturbed, args.output)
     descriptor["output"] = args.output
     descriptor["digest"] = content_digest(perturbed)
@@ -249,13 +248,7 @@ def _cmd_campaign(args) -> int:
         if args.workers is not None:
             if args.workers < 1:
                 raise _UsageError("--workers must be >= 1")
-            config = CampaignConfig(
-                seeds=config.seeds,
-                mrs=config.mrs,
-                backend_configs=config.backend_configs,
-                output_dir=config.output_dir,
-                workers=args.workers,
-            )
+            config = dataclasses.replace(config, workers=args.workers)
         report = run_campaign(config)
 
     if args.export_split is not None and not report.no_seeds:

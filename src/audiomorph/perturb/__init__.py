@@ -2,17 +2,19 @@
 
 A perturbation is described by a ``kind`` (registry key) plus a flat,
 JSON-serializable parameter mapping, so campaign manifests can reproduce
-any artifact from its descriptor alone.
+any artifact from its descriptor alone. Ops with a ``transcript``
+parameter (audio discontinuity) also take the seed's aligned transcript.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping
+from typing import Any, Callable, Dict, Mapping, Optional
 
 from ..audio import AudioBuffer
-from ..errors import ParameterError
-from . import basic, compound
+from ..errors import DomainError, ParameterError
+from . import basic, compound, linguistic
 
 PerturbationFn = Callable[..., AudioBuffer]
 
@@ -34,6 +36,7 @@ OPS: Dict[str, PerturbationFn] = {
     "distort": compound.distort,
     "echo": compound.echo,
     "reverb": compound.reverb,
+    "discontinuity": linguistic.benign_discontinuity_audio,
 }
 
 
@@ -55,13 +58,30 @@ class Perturbation:
             raise ParameterError(f"unknown perturbation kind {self.kind!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", dict(self.params))
-
-    def apply(self, audio: AudioBuffer) -> AudioBuffer:
-        fn = OPS[self.kind]
+        # parameter names fail here, at config load; values fail on apply
+        placeholders = {"transcript": None} if self.needs_transcript else {}
         try:
-            return fn(audio, **self.params)
+            inspect.signature(OPS[kind]).bind(None, **placeholders, **self.params)
         except TypeError as exc:
-            # bad parameter names reach the op signature as TypeError
+            raise ParameterError(f"{kind}: {exc}") from exc
+
+    @property
+    def needs_transcript(self) -> bool:
+        return "transcript" in inspect.signature(OPS[self.kind]).parameters
+
+    def apply(
+        self, audio: AudioBuffer, transcript: Optional[linguistic.Transcript] = None
+    ) -> AudioBuffer:
+        """Run the op; the transcript goes only to ops that take one."""
+        params = dict(self.params)
+        if self.needs_transcript:
+            if transcript is None:
+                raise DomainError(f"{self.kind} requires a seed transcript")
+            params["transcript"] = transcript
+        try:
+            return OPS[self.kind](audio, **params)
+        except TypeError as exc:
+            # a parameter value of the wrong type surfaces as TypeError
             raise ParameterError(f"{self.kind}: {exc}") from exc
 
     def describe(self) -> dict:
@@ -69,9 +89,8 @@ class Perturbation:
 
     @property
     def label(self) -> str:
-        """Human/report identifier, stable for a given descriptor."""
-        if not self.params:
-            return self.kind
+        """Human/report identifier, stable for a given descriptor; a kind
+        without parameters reads ``kind()``."""
         inner = ",".join(f"{k}={self.params[k]}" for k in sorted(self.params))
         return f"{self.kind}({inner})"
 

@@ -106,21 +106,15 @@ def time_shift(x: AudioBuffer, delta_s: float) -> AudioBuffer:
     return AudioBuffer(out, x.sample_rate)
 
 
-def _mono_for_spatial(x: AudioBuffer) -> np.ndarray:
-    # stereo sources are collapsed by amplitude mean: dual-mono material
-    # (the common case) keeps its power exactly and nothing can clip
-    if x.channels == 1:
-        return x.samples[0]
-    return x.samples.mean(axis=0)
-
-
 def pan(x: AudioBuffer, position: float) -> AudioBuffer:
     """Constant-power stereo placement: theta = (position+1)*pi/4, left
-    gain cos(theta), right gain sin(theta). Total power is preserved."""
+    gain cos(theta), right gain sin(theta). Total power is preserved.
+    Stereo input is mixed down by channel mean first: dual-mono material
+    keeps its power exactly and nothing can clip."""
     if not -1.0 <= position <= 1.0:
         raise ParameterError(f"pan position must be in [-1, +1], got {position}")
     theta = (position + 1.0) * math.pi / 4.0
-    mono = _mono_for_spatial(x)
+    mono = x.mono_mix()
     left = math.cos(theta) * mono
     right = math.sin(theta) * mono
     return AudioBuffer(np.stack([left, right]), x.sample_rate)
@@ -133,7 +127,7 @@ def surround(x: AudioBuffer, rotation_hz: float) -> AudioBuffer:
         raise ParameterError(f"rotation must be in (0, 5] Hz, got {rotation_hz}")
     t = np.arange(x.frames) / x.sample_rate
     theta = (np.sin(2 * np.pi * rotation_hz * t) + 1.0) * math.pi / 4.0
-    mono = _mono_for_spatial(x)
+    mono = x.mono_mix()
     return AudioBuffer(np.stack([np.cos(theta) * mono, np.sin(theta) * mono]), x.sample_rate)
 
 

@@ -226,7 +226,7 @@ def benign_discontinuity_text(
 
 def benign_discontinuity_audio(
     x: AudioBuffer,
-    t: Transcript,
+    transcript: Transcript,
     targets: Iterable[str],
     gap_s: float,
     repeats: int,
@@ -239,9 +239,10 @@ def benign_discontinuity_audio(
         raise ParameterError(f"repeats must be an integer >= 1, got {repeats}")
     if gap_s < 0:
         raise ParameterError(f"gap must be >= 0 s, got {gap_s}")
-    if t.alignment is None:
+    tokens, alignment = transcript.tokens, transcript.alignment
+    if alignment is None:
         raise DomainError("audio discontinuity needs a time-aligned transcript")
-    if t.alignment and t.alignment[-1][1] > x.duration + 1e-9:
+    if alignment and alignment[-1][1] > x.duration + 1e-9:
         raise DomainError("alignment extends past the end of the audio")
     target_set = {w.lower() for w in targets}
     rate = x.sample_rate
@@ -250,12 +251,12 @@ def benign_discontinuity_audio(
 
     pieces: List[np.ndarray] = []
     cursor = 0
-    for i in range(len(t.tokens)):
-        follows = t.tokens[i + 1].lower() if i + 1 < len(t.tokens) else None
+    for i in range(len(tokens)):
+        follows = tokens[i + 1].lower() if i + 1 < len(tokens) else None
         if follows is None or follows not in target_set:
             continue
-        start = int(round(t.alignment[i][0] * rate))
-        end = int(round(t.alignment[i][1] * rate))
+        start = int(round(alignment[i][0] * rate))
+        end = int(round(alignment[i][1] * rate))
         pieces.append(x.samples[:, cursor:start])
         span = x.samples[:, start:end]
         for _ in range(repeats):

@@ -33,14 +33,13 @@ from audiomorph.backends import Category, ModerationBackend, Verdict
 from audiomorph.backends.http import HttpBackend
 from audiomorph.campaign import (
     CampaignConfig,
-    MrSpec,
     SeedSpec,
     filter_seeds,
     load_seed,
     replay_campaign,
     run_campaign,
 )
-from audiomorph.perturb import basic, compound
+from audiomorph.perturb import Perturbation, basic, compound
 from audiomorph.perturb.linguistic import (
     Transcript,
     benign_discontinuity_audio,
@@ -67,7 +66,7 @@ class DigestBackend(ModerationBackend):
         self.name = name
         self.script = dict(script)
 
-    def moderate(self, audio, transcript_hint=None):
+    def moderate(self, audio):
         return Verdict(self.script.get(content_digest(audio), Category.NON_TOXIC), 0.9)
 
 
@@ -99,7 +98,7 @@ def test_criterion_1_efr_exact_for_randomized_cells(tmp_path):
                 script[perturbed_digest[spec.seed_id]] = Category.INSULT
         config = CampaignConfig(
             seeds=tuple(chosen),
-            mrs=(MrSpec("gain", {"db": 6.0206}),),
+            mrs=(Perturbation("gain", {"db": 6.0206}),),
             backend_configs=({"kind": "fixture", "path": "unused"},),
             output_dir=tmp_path / "out",
             workers=4,

@@ -17,7 +17,6 @@ from audiomorph.backends import (
     ModerationBackend,
     Verdict,
     build_backend,
-    moderate,
 )
 from audiomorph.backends.fixture import FixtureBackend, save_fixtures
 from audiomorph.backends.http import HttpBackend
@@ -426,7 +425,7 @@ class TestBuildBackend:
         save_fixtures(path, {content_digest(tone_440): Verdict(Category.SPAM)})
         backend = build_backend({"kind": "fixture", "path": str(path), "name": "fx1"})
         assert backend.name == "fx1"
-        assert moderate(backend, tone_440).category is Category.SPAM
+        assert backend.moderate(tone_440).category is Category.SPAM
 
     def test_spotter_kind(self, tmp_path):
         from audiomorph.audio import write_wav

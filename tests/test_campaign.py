@@ -1,8 +1,10 @@
 """Campaign engine: EFR arithmetic, seed filtering, report accounting,
 replay determinism, and the retraining export."""
 
+import dataclasses
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from audiomorph.audio import content_digest, read_wav, write_wav
 from audiomorph.backends import Category, ModerationBackend, Verdict
 from audiomorph.campaign import (
     CampaignConfig,
-    MrSpec,
     SeedSpec,
     compute_efr,
     export_retraining_set,
@@ -27,6 +28,7 @@ from audiomorph.errors import (
     DomainError,
     ParameterError,
 )
+from audiomorph.perturb import Perturbation
 from .conftest import sine
 
 
@@ -67,15 +69,30 @@ class ScriptedBackend(ModerationBackend):
         self.name = name
         self.script = dict(script or {})
         self.failing = set(failing)
-        self.calls = 0
+        self.queried = []  # list.append is atomic across pool threads
 
-    def moderate(self, audio, transcript_hint=None):
-        self.calls += 1
+    @property
+    def calls(self):
+        return len(self.queried)
+
+    def moderate(self, audio):
         digest = content_digest(audio)
+        self.queried.append(digest)
         if digest in self.failing:
             raise BackendUnavailableError(f"{self.name} scripted failure")
         category = self.script.get(digest, Category.NON_TOXIC)
         return Verdict(category, 0.75)
+
+
+class FlippingBackend(ScriptedBackend):
+    """Answers from the script on a digest's first query and non_toxic on
+    every repeat, like a backend whose verdicts drift between calls."""
+
+    def moderate(self, audio):
+        verdict = super().moderate(audio)
+        if self.queried.count(content_digest(audio)) > 1:
+            return Verdict(Category.NON_TOXIC, 0.75)
+        return verdict
 
 
 def _make_seed(tmp_path, name, freq, category, duration_s=0.5):
@@ -166,10 +183,21 @@ class TestConfig:
 
     def test_unknown_mr_kind_rejected(self):
         with pytest.raises(ParameterError):
-            MrSpec("transmogrify", {})
+            Perturbation("transmogrify", {})
 
     def test_mr_kind_normalized(self):
-        assert MrSpec("Ring-Mod", {"carrier_hz": 30.0}).kind == "ring_mod"
+        assert Perturbation("Ring-Mod", {"carrier_hz": 30.0}).kind == "ring_mod"
+
+    def test_unknown_mr_parameter_rejected(self):
+        with pytest.raises(ParameterError):
+            Perturbation("gain", {"decibels": 6.0})
+
+    def test_discontinuity_without_transcript_raises(self):
+        mr = Perturbation("discontinuity", {"targets": ["x"], "gap_s": 0.1, "repeats": 2})
+        assert mr.needs_transcript
+        assert not Perturbation("gain", {"db": 6.0}).needs_transcript
+        with pytest.raises(DomainError):
+            mr.apply(sine(300.0, duration_s=0.5))
 
     def test_from_file_round_trip(self, tmp_path):
         spec, _ = _make_seed(tmp_path, "a", 300.0, "insult")
@@ -200,8 +228,8 @@ def _campaign_fixture(tmp_path, n_seeds=4):
     config = CampaignConfig(
         seeds=tuple(specs),
         mrs=(
-            MrSpec("gain", {"db": 0.0}),
-            MrSpec("gain", {"db": 6.0}),
+            Perturbation("gain", {"db": 0.0}),
+            Perturbation("gain", {"db": 6.0}),
         ),
         backend_configs=({"kind": "fixture", "path": "unused"},),
         output_dir=tmp_path / "out",
@@ -278,7 +306,7 @@ class TestRunCampaign:
         seeds_by_id = {s["id"]: s for s in manifest["seeds"]}
         for case in manifest["cases"]:
             seed_audio = read_wav(seeds_by_id[case["seed_id"]]["path"])
-            again = MrSpec.from_dict(case["mr"]).apply(seed_audio, None)
+            again = Perturbation.from_dict(case["mr"]).apply(seed_audio)
             assert content_digest(again) == case["digest"]
 
     def test_empty_retained_set_still_writes_report(self, tmp_path):
@@ -357,6 +385,67 @@ class TestReplay:
         assert replayed.report_json.read_bytes() == original.report_json.read_bytes()
         loud = [c for c in replayed.cells if c.mr == "gain(db=6.0)"]
         assert all(c.unanswered == c.generated for c in loud)
+
+
+class TestQueryOnce:
+    def _script(self, specs, buffers):
+        from audiomorph.perturb import basic
+
+        script = {}
+        for spec in specs:
+            seed_buf = buffers[spec.seed_id]
+            script[content_digest(seed_buf)] = spec.category
+            script[content_digest(basic.gain(seed_buf, 6.0))] = spec.category
+        return script
+
+    def test_each_digest_queried_once(self, tmp_path):
+        config, specs, buffers = _campaign_fixture(tmp_path)
+        backend = ScriptedBackend("b", self._script(specs, buffers))
+        report = run_campaign(config, backends=[backend])
+        assert report.seed_filter["retained"] == 4
+        # gain(db=0.0) returns the seed itself: 4 seed + 4 louder digests
+        assert backend.calls == len(set(backend.queried)) == 8
+
+    def test_concurrent_duplicate_digests_queried_once(self, tmp_path):
+        config, specs, buffers = _campaign_fixture(tmp_path)
+        # a twin of s0, next to it so their probes and jobs overlap
+        twin, _ = _make_seed(tmp_path, "twin", 300.0, "insult")
+        seeds = (config.seeds[0], twin) + config.seeds[1:]
+        config = dataclasses.replace(config, seeds=seeds)
+
+        class SlowBackend(ScriptedBackend):
+            def moderate(self, audio):
+                time.sleep(0.02)  # keeps the first query in flight
+                return super().moderate(audio)
+
+        backend = SlowBackend("b", self._script(specs, buffers))
+        report = run_campaign(config, backends=[backend])
+        assert report.seed_filter["retained"] == 5
+        assert backend.calls == len(set(backend.queried)) == 8
+
+    def test_replay_identical_when_backend_flips_on_repeat(self, tmp_path):
+        config, specs, buffers = _campaign_fixture(tmp_path)
+        backend = FlippingBackend("flip", self._script(specs, buffers))
+        original = run_campaign(config, backends=[backend])
+        assert original.seed_filter["retained"] == 4
+        replayed = replay_campaign(original.manifest, tmp_path / "replay", workers=3)
+        assert replayed.report_json.read_bytes() == original.report_json.read_bytes()
+        assert replayed.report_csv.read_bytes() == original.report_csv.read_bytes()
+
+    def test_manifest_records_unanswered_pairs_as_null(self, tmp_path):
+        config, specs, buffers = _campaign_fixture(tmp_path, n_seeds=2)
+        from audiomorph.perturb import basic
+
+        script, failing = {}, set()
+        for spec in specs:
+            seed_buf = buffers[spec.seed_id]
+            script[content_digest(seed_buf)] = spec.category
+            failing.add(content_digest(basic.gain(seed_buf, 6.0)))
+        report = run_campaign(config, backends=[ScriptedBackend("b", script, failing)])
+        recorded = json.loads(report.manifest.read_text())["verdicts"]["b"]
+        assert len(recorded) == 4
+        assert all(recorded[d] is None for d in failing)
+        assert all(recorded[d]["category"] == c.value for d, c in script.items())
 
 
 class TestExportRetrainingSet:

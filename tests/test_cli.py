@@ -2,11 +2,14 @@
 validation, and the wiring of every subcommand."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import audiomorph
 from audiomorph import __version__, cli
 from audiomorph.audio import content_digest, read_wav, rms, write_wav
 from audiomorph.backends.fixture import save_fixtures
@@ -47,9 +50,12 @@ class TestTopLevel:
         assert code == 1
 
     def test_module_entry_point(self):
+        # the child imports the package under test, installed or not
+        src = str(Path(audiomorph.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "audiomorph.cli", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert __version__ in proc.stdout
