@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Synthesize the offline desk corpus: keyword templates, seed clips with the
 keywords embedded in context noise, and a campaign config wired to the local
-keyword spotter (threshold calibrated on the fly).
+keyword spotter (threshold calibrated on the fly, its accuracy recorded in
+calibration.json).
 
 Everything derives from fixed RNG seeds, so two runs with the same --base-seed
 produce bit-identical WAV files and an identical campaign.json.
@@ -17,7 +18,9 @@ from audiomorph.deskcorpus import build_corpus
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("root", help="directory to write templates/, seeds/, campaign.json")
+    parser.add_argument(
+        "root", help="directory to write templates/, seeds/, campaign.json, calibration.json"
+    )
     parser.add_argument(
         "--base-seed", type=int, default=100, help="RNG seed for clip synthesis"
     )
@@ -34,7 +37,8 @@ def main() -> int:
     print(f"templates ({len(templates)}): {', '.join(templates)}")
     print(f"seeds: {len(seeds)} across 3 categories")
     print(f"spotter threshold: {config['backends'][0]['threshold']!r}")
-    print(f"calibration accuracy: {config['calibration_accuracy']:.3f}")
+    calibration = json.loads((root / "calibration.json").read_text(encoding="utf-8"))
+    print(f"calibration accuracy: {calibration['accuracy']:.3f}")
     return 0
 
 

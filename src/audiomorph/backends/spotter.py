@@ -4,6 +4,14 @@ Templates are short recordings of the toxic keywords; a clip is flagged
 when some sliding window of its features is within a calibrated DTW
 distance of some template. Pure after load, so campaigns can drive it
 offline and deterministically.
+
+The sweep over (template, window) pairs is batched: ``_sweep`` stacks the
+clip's windows and makes one ``dtw_distance`` call per group of
+equal-length templates, and ``dtw_distance`` fills the DP tables of many
+pairs at once, one anti-diagonal at a time. Two tie-break rules fix the
+answer exactly: inside the DP, among minimum-cost alignments the shortest
+path wins; across pairs, the first in (template, start) order wins, so a
+later pair must be strictly closer to replace it.
 """
 
 from __future__ import annotations
@@ -30,6 +38,12 @@ MEL_HIGH_HZ = 8000.0
 N_COEFFICIENTS = 13
 
 _LOG_FLOOR = 1e-30
+# dtw_distance's temporaries stay this small (unless one pair needs more),
+# however many windows a long clip has: the wavefront runs over blocks of at
+# most _BLOCK_CELLS DP cells (2 MB of complex steps), and each block forms
+# its (pairs, n, m, d) difference array _DIFF_VALUES values (0.5 MB) at a time
+_BLOCK_CELLS = 1 << 17
+_DIFF_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -119,32 +133,83 @@ def _as_matrix(seq) -> np.ndarray:
     return data
 
 
-def dtw_distance(a, b) -> float:
+def dtw_distance(a, b):
     """Path-length-normalized dynamic time warping under Euclidean frame
     distance. Among minimum-cost monotone alignments the shortest path
-    is taken; the result is symmetric and zero for identical sequences."""
+    is taken; the result is symmetric and zero for identical sequences.
+
+    ``a`` is ``(..., n, d)`` and ``b`` is ``(..., m, d)``; their leading
+    batch axes broadcast and the result has the broadcast batch shape. A 1-D
+    input is a sequence of scalars. With no batch axes the result is a float.
+    """
     fa, fb = _as_matrix(a), _as_matrix(b)
     if fa.size == 0 or fb.size == 0:
         raise DomainError("dtw needs two nonempty sequences")
-    n, m = fa.shape[0], fb.shape[0]
-    diff = fa[:, np.newaxis, :] - fb[np.newaxis, :, :]
-    local = np.sqrt(np.sum(diff * diff, axis=2))
+    n, m = fa.shape[-2], fb.shape[-2]
+    batch = np.broadcast_shapes(fa.shape[:-2], fb.shape[:-2])
+    fa = np.broadcast_to(fa, batch + fa.shape[-2:]).reshape(-1, n, fa.shape[-1])
+    fb = np.broadcast_to(fb, batch + fb.shape[-2:]).reshape(-1, m, fb.shape[-1])
+    pairs = fa.shape[0]
+    block = max(1, _BLOCK_CELLS // (n * m))
+    result = np.empty(pairs)
+    for start in range(0, pairs, block):
+        stop = min(start + block, pairs)
+        result[start:stop] = _wavefront(_local_distances(fa[start:stop], fb[start:stop]))
+    result = result.reshape(batch)
+    return float(result) if not batch else result
 
-    inf = math.inf
-    cost = np.full((n + 1, m + 1), inf)
-    length = np.zeros((n + 1, m + 1), dtype=np.int64)
-    cost[0, 0] = 0.0
-    for i in range(1, n + 1):
-        row = local[i - 1]
-        for j in range(1, m + 1):
-            best_cost, best_len = cost[i - 1, j - 1], length[i - 1, j - 1]
-            for ci, cj in ((i - 1, j), (i, j - 1)):
-                c, l = cost[ci, cj], length[ci, cj]
-                if c < best_cost or (c == best_cost and l < best_len):
-                    best_cost, best_len = c, l
-            cost[i, j] = best_cost + row[j - 1]
-            length[i, j] = best_len + 1
-    return float(cost[n, m] / length[n, m])
+
+def _local_distances(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """Euclidean distance of every frame pair: ``(pairs, n, m)`` for
+    ``(pairs, n, d)`` against ``(pairs, m, d)``."""
+    pairs, n, m = fa.shape[0], fa.shape[1], fb.shape[1]
+    (d,) = np.broadcast_shapes(fa.shape[-1:], fb.shape[-1:])
+    chunk = max(1, _DIFF_VALUES // (n * m * d))
+    diff = np.empty((min(chunk, pairs), n, m, d))  # reused: saves page faults
+    local = np.empty((pairs, n, m))
+    for start in range(0, pairs, chunk):
+        stop = min(start + chunk, pairs)
+        part = diff[: stop - start]
+        np.subtract(fa[start:stop, :, np.newaxis, :], fb[start:stop, np.newaxis, :, :], out=part)
+        np.multiply(part, part, out=part)
+        np.sum(part, axis=-1, out=local[start:stop])
+    return np.sqrt(local, out=local)
+
+
+def _wavefront(local: np.ndarray) -> np.ndarray:
+    """DTW of each pair from its ``(n, m)`` local distances, one
+    anti-diagonal at a time, vectorised over the pairs and over the cells
+    of each anti-diagonal."""
+    pairs, n, m = local.shape
+    # numpy orders complex numbers lexicographically, so a cell held as
+    # cost + 1j * path_length makes np.minimum pick the cheapest neighbour
+    # and, at equal cost, the shorter path; entering a cell adds its local
+    # distance to the cost and 1 to the length
+    steps = np.empty((n * m, pairs), dtype=np.complex128)
+    steps.real = local.reshape(pairs, n * m).T
+    steps.imag = 1.0
+    # rows of steps are cells (i, j) in row-major order, so the cells of one
+    # anti-diagonal i + j are rows evenly spaced m - 1 apart
+    spacing = max(m - 1, 1)
+
+    # diagonals[k % 3, i] is cell (i, k - i) of the (n + 1) x (m + 1) table,
+    # since a cell reads only anti-diagonals k - 1 and k - 2. Row 0 and
+    # column 0 are the unreachable border: on diagonal k they sit at index 0
+    # and index k, where no cell of an earlier diagonal was computed, so they
+    # keep their first value. Cell (1, 1) opens every path: its own
+    # distance, length 1.
+    diagonals = np.full((3, n + 1, pairs), complex(math.inf, 0.0))
+    diagonals[2, 1] = steps[0]
+    for k in range(3, n + m + 1):
+        lo, hi = max(1, k - m), min(n, k - 1)
+        before, last = diagonals[(k - 2) % 3], diagonals[(k - 1) % 3]
+        first = (lo - 1) * m + (k - lo - 1)  # row of cell (lo, k - lo)
+        entered = steps[first : first + (hi - lo) * spacing + 1 : spacing]
+        # neighbours of cells lo..hi: diagonal, up, then left
+        best = np.minimum(np.minimum(before[lo - 1 : hi], last[lo - 1 : hi]), last[lo : hi + 1])
+        np.add(best, entered, out=diagonals[k % 3, lo : hi + 1])
+    end = diagonals[(n + m) % 3, n]
+    return end.real / end.imag
 
 
 def _sweep(
@@ -153,8 +218,9 @@ def _sweep(
     window_s: float,
     hop_s: float,
 ) -> Tuple[float, Optional[str]]:
-    """Minimum windowed DTW distance over (window, template) pairs and the
-    tag of the winning template."""
+    """Minimum windowed DTW distance over (template, window) pairs and the
+    tag of the winning template; the first pair in (template, start) order
+    wins a tie."""
     if not templates:
         raise ParameterError("need at least one template")
     features = extract_mfcc(audio)
@@ -173,18 +239,16 @@ def _sweep(
     starts = list(range(0, n - window_frames + 1, step))
     if starts[-1] != n - window_frames:
         starts.append(n - window_frames)  # trailing window reaches the clip end
+    windows = features.vectors[np.add.outer(starts, np.arange(window_frames))]
 
-    best_distance = math.inf
-    best_tag: Optional[str] = None
-    for tag, template in templates:
-        t_mat = _as_matrix(template)
-        for start in starts:
-            window = features.vectors[start : start + window_frames]
-            d = dtw_distance(window, t_mat)
-            if d < best_distance:
-                best_distance = d
-                best_tag = tag
-    return best_distance, best_tag
+    matrices = [_as_matrix(template) for _, template in templates]
+    distances = np.empty((len(matrices), len(starts)))
+    for frames in {len(t) for t in matrices}:
+        group = [i for i, t in enumerate(matrices) if len(t) == frames]
+        stacked = np.stack([matrices[i] for i in group])[:, np.newaxis]
+        distances[group] = dtw_distance(windows, stacked)
+    best = np.argmin(distances)  # first minimum in (template, start) order
+    return float(distances.flat[best]), templates[best // len(starts)][0]
 
 
 def spot_keywords(
@@ -237,7 +301,8 @@ def load_templates(directory) -> List[Tuple[str, MfccFeatures]]:
 
 
 class KeywordSpotterBackend(ModerationBackend):
-    """Backend wrapper over spot_keywords; ignores transcript hints."""
+    """Backend wrapper over spot_keywords. ``threshold``, ``window_s`` and
+    ``hop_s`` must be finite and positive."""
 
     def __init__(
         self,
@@ -249,6 +314,12 @@ class KeywordSpotterBackend(ModerationBackend):
     ):
         if not templates:
             raise ConfigError("keyword spotter needs at least one template")
+        for field, value in (("threshold", threshold), ("window_s", window_s), ("hop_s", hop_s)):
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(
+                    f"keyword spotter {field} must be finite and > 0, got {value!r}",
+                    field=field,
+                )
         self.name = name
         self._templates = list(templates)
         self._threshold = float(threshold)

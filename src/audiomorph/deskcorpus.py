@@ -128,7 +128,8 @@ DEFAULT_MRS = [
 
 def build_corpus(root, base_seed: int = 100) -> Path:
     """Write templates/, seeds/, and campaign.json under root; the spotter
-    threshold is calibrated on the fly. Returns the config path."""
+    threshold is calibrated on the fly, and its training accuracy goes to
+    calibration.json beside the config. Returns the config path."""
     root = Path(root)
     templates_dir = root / "templates"
     seeds_dir = root / "seeds"
@@ -164,10 +165,12 @@ def build_corpus(root, base_seed: int = 100) -> Path:
         ],
         "output_dir": "out",
         "workers": 4,
-        "calibration_accuracy": accuracy,
     }
     config_path = root / "campaign.json"
     config_path.write_text(
         json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    (root / "calibration.json").write_text(
+        json.dumps({"accuracy": accuracy}, indent=2) + "\n", encoding="utf-8"
     )
     return config_path

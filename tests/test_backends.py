@@ -7,9 +7,13 @@ import json
 import math
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from audiomorph.audio import AudioBuffer, content_digest
 from audiomorph.backends import (
@@ -307,7 +311,95 @@ def oracle_dtw(a, b):
     return best[0] / best[1]
 
 
+def loop_dtw(a, b):
+    """The spotter's DP one cell at a time, the reference for the batched
+    wavefront: start from the diagonal neighbour, then try up, then left,
+    and take a neighbour only at strictly lower cost, or at equal cost with
+    a shorter path."""
+    fa, fb = spotter._as_matrix(a), spotter._as_matrix(b)
+    n, m = fa.shape[0], fb.shape[0]
+    diff = fa[:, np.newaxis, :] - fb[np.newaxis, :, :]
+    local = np.sqrt(np.sum(diff * diff, axis=2))
+
+    cost = np.full((n + 1, m + 1), math.inf)
+    length = np.zeros((n + 1, m + 1), dtype=np.int64)
+    cost[0, 0] = 0.0
+    for i in range(1, n + 1):
+        row = local[i - 1]
+        for j in range(1, m + 1):
+            best_cost, best_len = cost[i - 1, j - 1], length[i - 1, j - 1]
+            for ci, cj in ((i - 1, j), (i, j - 1)):
+                c, l = cost[ci, cj], length[ci, cj]
+                if c < best_cost or (c == best_cost and l < best_len):
+                    best_cost, best_len = c, l
+            cost[i, j] = best_cost + row[j - 1]
+            length[i, j] = best_len + 1
+    return float(cost[n, m] / length[n, m])
+
+
+def loop_sweep(features, templates, window_frames, starts):
+    """The spotter's winner rule one pair at a time: strict < over
+    (template, start) order."""
+    best_distance, best_tag = math.inf, None
+    for tag, template in templates:
+        for start in starts:
+            d = loop_dtw(features[start : start + window_frames], template)
+            if d < best_distance:
+                best_distance, best_tag = d, tag
+    return best_distance, best_tag
+
+
+@st.composite
+def dtw_batches(draw):
+    """(a, b) of shapes (*batch_a, n, d) and (*batch_b, m, d) with
+    broadcastable batches, valued as small integers (many ties) or floats."""
+    shapes = draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=2, max_side=3))
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        elements = st.integers(-2, 2).map(float)
+    else:
+        elements = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+    a = draw(hnp.arrays(np.float64, shapes.input_shapes[0] + (n, d), elements=elements))
+    b = draw(hnp.arrays(np.float64, shapes.input_shapes[1] + (m, d), elements=elements))
+    return a, b, shapes.result_shape
+
+
 class TestDtw:
+    @given(
+        dtw_batches(),
+        st.sampled_from([1, 40, spotter._BLOCK_CELLS]),
+        st.sampled_from([1, 40, spotter._DIFF_VALUES]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_batched_equals_loop_reference(self, case, block_cells, diff_values):
+        # small limits split the pairs across several blocks and chunks
+        a, b, batch = case
+        with (
+            mock.patch.object(spotter, "_BLOCK_CELLS", block_cells),
+            mock.patch.object(spotter, "_DIFF_VALUES", diff_values),
+        ):
+            got = spotter.dtw_distance(a, b)
+        if not batch:
+            assert isinstance(got, float)
+            assert got == loop_dtw(a, b)
+            return
+        assert got.shape == batch
+        a, b = np.broadcast_to(a, batch + a.shape[-2:]), np.broadcast_to(b, batch + b.shape[-2:])
+        for index in np.ndindex(batch):
+            assert got[index] == loop_dtw(a[index], b[index])
+
+    @given(
+        hnp.arrays(np.float64, st.integers(1, 8), elements=st.integers(-3, 3).map(float)),
+        hnp.arrays(np.float64, st.integers(1, 8), elements=st.floats(-10.0, 10.0)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_dimensional_sequences(self, a, b):
+        got = spotter.dtw_distance(a, b)
+        assert isinstance(got, float)
+        assert got == loop_dtw(a, b)
+        assert spotter.dtw_distance(a, a) == loop_dtw(a, a)
+
     def test_identity_zero(self):
         seq = np.random.default_rng(0).normal(size=(10, 13))
         assert spotter.dtw_distance(seq, seq) == 0.0
@@ -361,6 +453,43 @@ class TestSpotKeywords:
         verdict = spotter.spot_keywords(clip, [("insult", template)], 0.4, 0.1, d / 2)
         assert verdict.category is Category.NON_TOXIC
         assert verdict.confidence == 0.0
+
+    def test_sweep_matches_loop_reference(self):
+        # templates of two lengths: the sweep batches each length on its own
+        # but must rank every (template, start) pair as the loop does
+        word = sine(500.0, duration_s=0.4, amplitude=0.5)
+        clip = AudioBuffer(
+            np.concatenate(
+                [sine(2000.0, duration_s=0.3).samples, word.samples,
+                 sine(2600.0, duration_s=0.3).samples], axis=1,
+            ),
+            RATE,
+        )
+        templates = [
+            ("spam", self._template(900.0)),
+            ("insult", spotter.extract_mfcc(sine(2000.0, duration_s=0.3))),
+            ("porn", self._template(500.0)),
+        ]
+        features = spotter.extract_mfcc(clip).vectors
+        assert len(features) == 98  # 38-frame windows start at 0, 10, ..., 60
+        expected = loop_sweep(features, templates, 38, range(0, 61, 10))
+        assert spotter._sweep(clip, templates, 0.4, 0.1) == expected
+
+    def test_sweep_tie_breaks(self):
+        template = self._template(500.0)
+        clip = sine(500.0, duration_s=1.0, amplitude=0.5)
+        first = spotter._sweep(clip, [("insult", template), ("spam", template)], 0.4, 0.1)
+        assert first[1] == "insult"
+        assert spotter._sweep(clip, [("spam", template), ("insult", template)], 0.4, 0.1) == (
+            first[0], "spam"
+        )
+        # silence: every window is the same, and the sweep reports the
+        # distance of the one at start 0
+        silence = AudioBuffer(np.zeros(RATE), RATE)
+        features = spotter.extract_mfcc(silence).vectors
+        assert spotter._sweep(silence, [("porn", template)], 0.4, 0.1) == (
+            loop_dtw(features[:38], template), "porn"
+        )
 
     def test_embedded_template_found_mid_clip(self):
         word = sine(500.0, duration_s=0.4, amplitude=0.5)
@@ -435,6 +564,20 @@ class TestBuildBackend:
             {"kind": "keyword_spotter", "templates_dir": str(tmp_path), "threshold": 5.0}
         )
         assert isinstance(backend, ModerationBackend)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("threshold", -1.0), ("threshold", math.nan), ("window_s", 0.0),
+         ("hop_s", -0.5), ("hop_s", math.inf)],
+    )
+    def test_spotter_rejects_nonpositive_or_nonfinite(self, tmp_path, field, value):
+        from audiomorph.audio import write_wav
+
+        write_wav(sine(500.0, duration_s=0.4), tmp_path / "insult__bark.wav")
+        config = {"kind": "keyword_spotter", "templates_dir": str(tmp_path), "threshold": 5.0}
+        with pytest.raises(ConfigError, match=field) as err:
+            build_backend({**config, field: value})
+        assert err.value.field == field
 
     def test_http_kind(self):
         backend = build_backend(

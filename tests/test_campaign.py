@@ -199,6 +199,27 @@ class TestConfig:
         with pytest.raises(DomainError):
             mr.apply(sine(300.0, duration_s=0.5))
 
+    def _minimal(self):
+        return {
+            "seeds": [{"id": "a", "path": "a.wav", "category": "insult"}],
+            "mrs": [{"kind": "gain", "params": {"db": 0.0}}],
+            "backends": [{"kind": "fixture", "path": "fx.json"}],
+            "output_dir": "out",
+        }
+
+    def test_unknown_top_level_key_rejected(self):
+        config = {**self._minimal(), "worker": 1}
+        with pytest.raises(ConfigError, match="'worker'") as err:
+            CampaignConfig.from_dict(config)
+        assert err.value.field == "worker"
+
+    def test_unknown_seed_key_rejected(self):
+        config = self._minimal()
+        config["seeds"][0]["transcript_path"] = "a.tsv"
+        with pytest.raises(ConfigError, match="seed #0 .*'transcript_path'") as err:
+            CampaignConfig.from_dict(config)
+        assert err.value.field == "transcript_path"
+
     def test_from_file_round_trip(self, tmp_path):
         spec, _ = _make_seed(tmp_path, "a", 300.0, "insult")
         cfg = {

@@ -52,6 +52,12 @@ class TestSynthesis:
 
 
 class TestCalibration:
+    def test_accuracy_beside_config(self, tmp_path):
+        config_path = deskcorpus.build_corpus(tmp_path)
+        assert "calibration_accuracy" not in json.loads(config_path.read_text())
+        calibration = json.loads((tmp_path / "calibration.json").read_text())
+        assert calibration == {"accuracy": 1.0}
+
     def test_perfect_separation(self):
         templates = [
             (tag, feats)
