@@ -202,9 +202,11 @@ def read_wav(path) -> AudioBuffer:
 
 def quantize_int16(samples: np.ndarray) -> np.ndarray:
     """Quantize normalized samples to int16, clamping at full scale
-    (+1.0 maps to 32767)."""
-    scaled = np.round(np.asarray(samples, dtype=np.float64) * _INT16_FULL_SCALE)
-    return np.clip(scaled, -32768, 32767).astype("<i2")
+    (+1.0 maps to 32767). Rounds half to even; one float64 temporary."""
+    scaled = np.multiply(samples, _INT16_FULL_SCALE, dtype=np.float64)
+    np.rint(scaled, out=scaled)
+    np.clip(scaled, -32768, 32767, out=scaled)
+    return scaled.astype("<i2")
 
 
 def wav_bytes(buffer: AudioBuffer) -> bytes:

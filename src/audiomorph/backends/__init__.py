@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
 from ..audio import AudioBuffer
-from ..errors import ConfigError
+from ..errors import ConfigError, reject_unknown_keys
 
 
 class Category(str, enum.Enum):
@@ -71,12 +71,32 @@ def _require(options: Mapping[str, Any], field: str, kind: str):
     return options[field]
 
 
+_COMMON_KEYS = ("kind", "name")
+_KIND_KEYS = {
+    "fixture": ("path",),
+    "keyword_spotter": ("templates_dir", "threshold", "window_s", "hop_s"),
+    "http": (
+        "endpoint",
+        "response_mapping",
+        "method",
+        "headers",
+        "body",
+        "audio_encoding",
+        "rate_limit_per_s",
+        "max_attempts",
+        "backoff_s",
+        "timeout_s",
+    ),
+}
+
+
 def build_backend(config: Mapping[str, Any]) -> ModerationBackend:
     """Construct a backend from a declarative config mapping.
 
     Common fields: ``kind`` ({http, fixture, keyword_spotter}) and an
     optional ``name`` (defaults to the kind). Remaining fields are
-    kind-specific; see each backend class.
+    kind-specific; see each backend class. A key the kind does not read
+    is a ConfigError naming it.
     """
     from . import fixture as fixture_mod
     from . import http as http_mod
@@ -85,6 +105,9 @@ def build_backend(config: Mapping[str, Any]) -> ModerationBackend:
     if "kind" not in config:
         raise ConfigError("backend config missing 'kind'", field="kind")
     kind = config["kind"]
+    if not (isinstance(kind, str) and kind in _KIND_KEYS):
+        raise ConfigError(f"unknown backend kind {kind!r}", field="kind")
+    reject_unknown_keys(config, _COMMON_KEYS + _KIND_KEYS[kind], f"{kind} backend")
     name = config.get("name", kind)
     if kind == "fixture":
         path = _require(config, "path", kind)
@@ -98,9 +121,7 @@ def build_backend(config: Mapping[str, Any]) -> ModerationBackend:
             hop_s=float(config.get("hop_s", 0.1)),
             name=name,
         )
-    if kind == "http":
-        return http_mod.HttpBackend.from_config(config, name=name)
-    raise ConfigError(f"unknown backend kind {kind!r}", field="kind")
+    return http_mod.HttpBackend.from_config(config, name=name)
 
 
 __all__ = [

@@ -151,23 +151,28 @@ class HttpBackend(ModerationBackend):
         headers = _substitute(self._headers, context)
         body = _substitute(self._body, context)
 
+        if self._audio_encoding == "multipart":
+            request = requests.Request(
+                self._method,
+                url,
+                headers=headers,
+                data=body,
+                files={"file": ("clip.wav", blob, "audio/wav")},
+            )
+        else:
+            request = requests.Request(self._method, url, headers=headers, json=body)
+
         last_error: Optional[str] = None
         for attempt in range(1, self._max_attempts + 1):
-            self._limiter.acquire()
             try:
-                if self._audio_encoding == "multipart":
-                    response = self._session.request(
-                        self._method,
-                        url,
-                        headers=headers,
-                        data=body,
-                        files={"file": ("clip.wav", blob, "audio/wav")},
-                        timeout=self._timeout_s,
-                    )
-                else:
-                    response = self._session.request(
-                        self._method, url, headers=headers, json=body, timeout=self._timeout_s
-                    )
+                # everything but the send happens before admission, so the
+                # limiter's spacing reaches the wire with the least delay
+                prepared = self._session.prepare_request(request)
+                settings = self._session.merge_environment_settings(
+                    prepared.url, {}, None, None, None
+                )
+                self._limiter.acquire()
+                response = self._session.send(prepared, timeout=self._timeout_s, **settings)
             except requests.RequestException as exc:
                 last_error = str(exc)
                 response = None

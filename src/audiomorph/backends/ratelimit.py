@@ -12,9 +12,10 @@ class RateLimiter:
     """Serializes admissions so consecutive grants are at least
     1/per_second apart, regardless of how many threads contend.
 
-    Each caller reserves the next free slot under the lock and then
-    sleeps until its slot arrives; sleeps never undershoot, so the
-    observed admission rate cannot exceed the configured limit.
+    A caller holds the lock while it sleeps until the next slot, and the
+    slot after it is set from the time it actually woke. So a caller that
+    wakes late pushes back every caller behind it, rather than letting
+    them through on their own schedule right after it.
     """
 
     def __init__(self, per_second: float):
@@ -26,9 +27,7 @@ class RateLimiter:
 
     def acquire(self) -> None:
         with self._lock:
-            now = time.monotonic()
-            slot = max(now, self._next_slot)
-            self._next_slot = slot + self._interval
-        delay = slot - time.monotonic()
-        if delay > 0:
-            time.sleep(delay)
+            delay = self._next_slot - time.monotonic()
+            if delay > 0:
+                time.sleep(delay)
+            self._next_slot = time.monotonic() + self._interval

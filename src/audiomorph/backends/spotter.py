@@ -16,6 +16,7 @@ later pair must be strictly closer to replace it.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import re
@@ -74,6 +75,10 @@ def _mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel) / 2595.0) - 1.0)
 
 
+# extract_mfcc's matrices depend only on the rate, so they are built once
+# per rate (a few rates at most; the bound only caps odd corpora) and
+# shared read-only
+@functools.lru_cache(maxsize=16)
 def _mel_filterbank(rate: int) -> np.ndarray:
     """Triangular filters evaluated on the rfft bin grid."""
     high = min(MEL_HIGH_HZ, rate / 2.0)
@@ -86,9 +91,11 @@ def _mel_filterbank(rate: int) -> np.ndarray:
         rising = (bins - left) / max(center - left, 1e-12)
         falling = (right - bins) / max(right - center, 1e-12)
         bank[i] = np.clip(np.minimum(rising, falling), 0.0, None)
+    bank.flags.writeable = False
     return bank
 
 
+@functools.lru_cache(maxsize=16)
 def _dct_matrix(n_out: int, n_in: int) -> np.ndarray:
     """Orthonormal DCT-II; row 0 is constant, so a uniform log-energy
     shift lands entirely in coefficient 0."""
@@ -97,6 +104,7 @@ def _dct_matrix(n_out: int, n_in: int) -> np.ndarray:
         np.pi * np.outer(np.arange(n_out), 2 * m + 1) / (2.0 * n_in)
     )
     matrix[0] /= math.sqrt(2.0)
+    matrix.flags.writeable = False
     return matrix
 
 

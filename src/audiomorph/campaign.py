@@ -40,6 +40,7 @@ from .errors import (
     MissingFixtureError,
     ParameterError,
     ResponseMappingError,
+    reject_unknown_keys,
 )
 from .perturb import Perturbation
 # benign_discontinuity_audio is unused here (perturb.OPS runs it), but
@@ -51,16 +52,6 @@ _CASE_ERRORS = (BackendUnavailableError, MissingFixtureError, ResponseMappingErr
 
 _CONFIG_KEYS = ("seeds", "mrs", "backends", "output_dir", "workers")
 _SEED_KEYS = ("id", "path", "category", "transcript")
-
-
-def _reject_unknown_keys(entry: Mapping, known: Sequence[str], where: str) -> None:
-    unknown = sorted(str(key) for key in entry if key not in known)
-    if unknown:
-        raise ConfigError(
-            f"{where} has unknown keys {', '.join(map(repr, unknown))}"
-            f" (known: {', '.join(known)})",
-            field=unknown[0],
-        )
 
 
 def compute_efr(misclassified: int, answered: int) -> Optional[float]:
@@ -127,13 +118,13 @@ class CampaignConfig:
     @classmethod
     def from_dict(cls, d: Mapping, base_dir: Path = Path(".")) -> "CampaignConfig":
         base_dir = Path(base_dir)
-        _reject_unknown_keys(d, _CONFIG_KEYS, "config")
+        reject_unknown_keys(d, _CONFIG_KEYS, "config")
         for name in ("seeds", "mrs", "backends", "output_dir"):
             if name not in d:
                 raise ConfigError(f"config is missing '{name}'", field=name)
         seeds = []
         for i, entry in enumerate(d["seeds"]):
-            _reject_unknown_keys(entry, _SEED_KEYS, f"seed #{i}")
+            reject_unknown_keys(entry, _SEED_KEYS, f"seed #{i}")
             for name in ("id", "path", "category"):
                 if name not in entry:
                     raise ConfigError(f"seed #{i} is missing '{name}'", field=name)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the unknown-key check
+that config readers share."""
+
+from typing import Mapping, Sequence
 
 
 class AudiomorphError(Exception):
@@ -31,6 +34,18 @@ class ConfigError(AudiomorphError):
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)
         self.field = field
+
+
+def reject_unknown_keys(entry: Mapping, known: Sequence[str], where: str) -> None:
+    """Raise a ConfigError naming every key of ``entry`` not in ``known``;
+    ``field`` is the first of them, sorted."""
+    unknown = sorted(str(key) for key in entry if key not in known)
+    if unknown:
+        raise ConfigError(
+            f"{where} has unknown keys {', '.join(map(repr, unknown))}"
+            f" (known: {', '.join(known)})",
+            field=unknown[0],
+        )
 
 
 class BackendUnavailableError(AudiomorphError):

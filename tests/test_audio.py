@@ -150,6 +150,53 @@ class TestWavIO:
         assert issubclass(UnsupportedCodecError, WavFormatError)
 
 
+def reference_quantize_int16(samples):
+    """quantize_int16 as it was before it worked in place: the reference
+    its bytes are held to."""
+    scaled = np.round(np.asarray(samples, dtype=np.float64) * 32768.0)
+    return np.clip(scaled, -32768, 32767).astype("<i2")
+
+
+_TIES = np.array([(k + 0.5) / 32768.0 for k in (-32768, -32767, -2, -1, 0, 1, 2, 32766)])
+
+
+class TestQuantizeMatchesReference:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([1.0, -1.0]),
+            _TIES,
+            -_TIES,
+            np.array([-0.0, 0.0]),
+            np.array([np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0)]),
+            np.array([0.5 / 32768.0, -0.5 / 32768.0, 1.5 / 32768.0, -1.5 / 32768.0]),
+        ],
+        ids=["full-scale", "ties", "negative-ties", "signed-zero", "inside-full-scale", "half-lsb"],
+    )
+    def test_edge_values(self, values):
+        got = quantize_int16(values)
+        assert got.dtype == np.dtype("<i2")
+        assert got.tobytes() == reference_quantize_int16(values).tobytes()
+
+    def test_random_stereo_interleaved(self):
+        rng = np.random.default_rng(5)
+        samples = np.clip(rng.standard_normal((2, 11025)) * 0.5, -1.0, 1.0)
+        # wav_bytes and content_digest quantize the transposed view
+        got = quantize_int16(samples.T)
+        want = reference_quantize_int16(samples.T)
+        assert got.shape == want.shape == (11025, 2)
+        assert got.tobytes(order="C") == want.tobytes(order="C")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_non_float64_input(self, dtype):
+        values = np.concatenate([_TIES, np.linspace(-1.0, 1.0, 1001)]).astype(dtype)
+        assert quantize_int16(values).tobytes() == reference_quantize_int16(values).tobytes()
+
+    def test_list_input(self):
+        values = [0.25, -0.75, 1.0, -1.0, 0.5 / 32768.0]
+        assert quantize_int16(values).tobytes() == reference_quantize_int16(values).tobytes()
+
+
 def _wav_blob(fmt, channels, rate, bits, payload):
     block_align = channels * (bits // 8)
     return struct.pack(
@@ -301,6 +348,12 @@ class TestProperties:
     def test_rms_scales_linearly(self, buf, scale):
         scaled = AudioBuffer(buf.samples * scale, buf.sample_rate)
         assert np.allclose(rms(scaled), rms(buf) * scale, atol=1e-12)
+
+    @given(buffers())
+    @settings(max_examples=50, deadline=None)
+    def test_quantize_matches_reference(self, buf):
+        got = quantize_int16(buf.samples.T).tobytes(order="C")
+        assert got == reference_quantize_int16(buf.samples.T).tobytes(order="C")
 
     @given(buffers())
     @settings(max_examples=50, deadline=None)

@@ -24,6 +24,7 @@ from audiomorph.backends import (
 )
 from audiomorph.backends.fixture import FixtureBackend, save_fixtures
 from audiomorph.backends.http import HttpBackend
+from audiomorph.backends import ratelimit
 from audiomorph.backends.ratelimit import RateLimiter
 from audiomorph.backends import spotter
 from audiomorph.errors import (
@@ -122,6 +123,32 @@ class TestRateLimiter:
         interval = 1.0 / 200.0
         for i in range(len(stamps) - 10):
             assert stamps[i + 10] - stamps[i] >= 10 * interval - 0.02
+
+    def test_late_wake_pushes_back_the_next_grant(self, monkeypatch):
+        class Clock:
+            """Virtual time; the first sleep overshoots by 15 ms."""
+
+            def __init__(self):
+                self.now = 100.0
+                self.late = [0.015]
+
+            def monotonic(self):
+                return self.now
+
+            def sleep(self, seconds):
+                self.now += seconds + (self.late.pop() if self.late else 0.0)
+
+        clock = Clock()
+        monkeypatch.setattr(ratelimit, "time", clock)
+        limiter = RateLimiter(200.0)
+        grants = []
+        for _ in range(4):
+            limiter.acquire()
+            grants.append(clock.now)
+        # without the push-back, the grant after the late one would come
+        # at once, 0 ms after it
+        gaps = np.diff(grants)
+        assert np.all(gaps >= 0.005 - 1e-12), gaps
 
 
 def _mapping(**overrides):
@@ -280,6 +307,20 @@ class TestExtractMfcc:
     def test_too_short_rejected(self):
         with pytest.raises(DomainError):
             spotter.extract_mfcc(AudioBuffer(np.zeros(100), RATE))
+
+    @pytest.mark.parametrize("rate", [8000, RATE, 44100])
+    def test_matrices_cached_read_only_and_unchanged(self, rate):
+        bank = spotter._mel_filterbank(rate)
+        dct = spotter._dct_matrix(spotter.N_COEFFICIENTS, spotter.MEL_FILTERS)
+        assert spotter._mel_filterbank(rate) is bank
+        assert not bank.flags.writeable and not dct.flags.writeable
+        # the cached matrices equal freshly built ones, so features do too
+        fresh_bank = spotter._mel_filterbank.__wrapped__(rate)
+        fresh_dct = spotter._dct_matrix.__wrapped__(spotter.N_COEFFICIENTS, spotter.MEL_FILTERS)
+        assert bank.tobytes() == fresh_bank.tobytes()
+        assert dct.tobytes() == fresh_dct.tobytes()
+        with pytest.raises(ValueError):
+            bank[0, 0] = 1.0
 
 
 def oracle_dtw(a, b):
@@ -594,3 +635,53 @@ class TestBuildBackend:
         with pytest.raises(ConfigError) as err:
             build_backend({"kind": "fixture"})
         assert err.value.field == "path"
+
+    def test_fixture_rejects_unknown_keys(self, tmp_path, tone_440):
+        path = tmp_path / "fx.json"
+        save_fixtures(path, {content_digest(tone_440): Verdict(Category.SPAM)})
+        with pytest.raises(ConfigError, match="'paht'") as err:
+            build_backend({"kind": "fixture", "path": str(path), "paht": "x"})
+        assert err.value.field == "paht"
+
+    def test_spotter_rejects_unknown_keys(self, tmp_path):
+        from audiomorph.audio import write_wav
+
+        write_wav(sine(500.0, duration_s=0.4), tmp_path / "insult__bark.wav")
+        config = {"kind": "keyword_spotter", "templates_dir": str(tmp_path), "threshold": 5.0}
+        # "hop" would otherwise leave hop_s at its default 0.1
+        with pytest.raises(ConfigError, match="'hop', 'window'") as err:
+            build_backend({**config, "window": 0.3, "hop": 0.2})
+        assert err.value.field == "hop"
+
+    def test_http_rejects_unknown_keys(self):
+        # "rate_limit" would otherwise leave the limiter at 5 requests/s
+        with pytest.raises(ConfigError, match="'rate_limit'") as err:
+            build_backend(
+                {
+                    "kind": "http",
+                    "endpoint": "http://x/y",
+                    "response_mapping": _mapping(),
+                    "rate_limit": 1.0,
+                }
+            )
+        assert err.value.field == "rate_limit"
+
+    def test_http_accepts_every_documented_key(self):
+        backend = build_backend(
+            {
+                "kind": "http",
+                "name": "api",
+                "endpoint": "http://x/y",
+                "response_mapping": _mapping(),
+                "method": "PUT",
+                "headers": {"Authorization": "t"},
+                "body": {"audio": "${audio_base64}"},
+                "audio_encoding": "multipart",
+                "rate_limit_per_s": 1.0,
+                "max_attempts": 2,
+                "backoff_s": 0.1,
+                "timeout_s": 5.0,
+            }
+        )
+        assert backend.name == "api"
+        assert backend._limiter._interval == 1.0

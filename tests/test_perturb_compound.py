@@ -1,9 +1,12 @@
 """Compound perturbations: contract examples plus spectral/energy oracles."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from audiomorph.audio import AudioBuffer, rms, spectrum
 from audiomorph.errors import ParameterError
@@ -246,3 +249,176 @@ class TestReverb:
     def test_invalid_params(self, tone_440, kwargs):
         with pytest.raises(ParameterError):
             compound.reverb(tone_440, **kwargs)
+
+
+# The recurrences as they were before they ran on blocked Python floats:
+# numpy-scalar loops, kept verbatim as the bit-identical references.
+
+
+def loop_one_pole(values: np.ndarray, coeff: float) -> np.ndarray:
+    out = np.empty_like(values)
+    state = values[0]
+    for i, v in enumerate(values):
+        state = coeff * state + (1.0 - coeff) * v
+        out[i] = state
+    return out
+
+
+def loop_smooth_gain(gain_db: np.ndarray, rate: int) -> np.ndarray:
+    a_attack = math.exp(-1.0 / (rate * compound._ATTACK_S))
+    a_release = math.exp(-1.0 / (rate * compound._RELEASE_S))
+    out = np.empty_like(gain_db)
+    state = 0.0
+    for i, g in enumerate(gain_db):
+        coeff = a_attack if g < state else a_release
+        state = coeff * state + (1.0 - coeff) * g
+        out[i] = state
+    return out
+
+
+def loop_one_pole_lowpass(samples: np.ndarray, cutoff_hz: float, rate: int) -> np.ndarray:
+    beta = 1.0 - math.exp(-2.0 * math.pi * cutoff_hz / rate)
+    out = np.empty_like(samples)
+    for ch in range(samples.shape[0]):
+        state = 0.0
+        row = samples[ch]
+        dst = out[ch]
+        for i in range(row.shape[0]):
+            state += beta * (row[i] - state)
+            dst[i] = state
+    return out
+
+
+def _loop_references():
+    """Patch the loop references in, so compress and bass_boost compute the
+    old outputs."""
+    return mock.patch.multiple(
+        compound,
+        _one_pole=loop_one_pole,
+        _smooth_gain=loop_smooth_gain,
+        _one_pole_lowpass=loop_one_pole_lowpass,
+    )
+
+
+# block sizes: every sample its own block, a small odd block, the default
+_BLOCKS = [1, 3, compound._BLOCK]
+_COEFFS = [0.0, 0.5, math.exp(-1.0 / 160.0), math.exp(-1.0 / 441.0), 1.0 - 1e-9]
+
+
+@st.composite
+def _lengths(draw, block):
+    # 1..3 blocks, biased to lengths at and next to block boundaries
+    edge = draw(st.integers(1, 3)) * block + draw(st.integers(-1, 1))
+    return draw(st.sampled_from([max(1, edge), draw(st.integers(1, 3 * block))]))
+
+
+@st.composite
+def _signal(draw, block, channels=1):
+    n = draw(_lengths(block))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = draw(st.sampled_from([1e-6, 0.1, 1.0]))
+    rng = np.random.default_rng(seed)
+    return np.clip(rng.standard_normal((channels, n)) * scale, -1.0, 1.0)
+
+
+@st.composite
+def _gain_runs(draw, block):
+    """Gain in dB as up to 8 runs: zero runs (released), negative runs
+    (compressing) and positive runs, some with per-sample jitter, so the
+    attack/release switch flips often and in both directions."""
+    n = draw(_lengths(block))
+    runs = draw(st.integers(1, 8))
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=runs - 1, max_size=runs - 1)))
+    levels = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(-40.0, 40.0, allow_nan=False)),
+            min_size=runs,
+            max_size=runs,
+        )
+    )
+    gain_db = np.repeat(levels, np.diff([0, *cuts, n])).astype(np.float64)
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        gain_db += np.where(gain_db != 0.0, rng.standard_normal(n), 0.0)
+    return gain_db
+
+
+class TestRecurrencesMatchLoops:
+    @pytest.mark.parametrize("block", _BLOCKS)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_one_pole(self, block, data):
+        values = data.draw(_signal(block))[0]
+        coeff = data.draw(st.one_of(st.sampled_from(_COEFFS), st.floats(0.0, 1.0)))
+        with mock.patch.object(compound, "_BLOCK", block):
+            got = compound._one_pole(values, coeff)
+        assert got.tobytes() == loop_one_pole(values, coeff).tobytes()
+
+    @pytest.mark.parametrize("block", _BLOCKS)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_smooth_gain(self, block, data):
+        gain_db = data.draw(_gain_runs(block))
+        rate = data.draw(st.sampled_from([8000, 16000, 44100]))
+        with mock.patch.object(compound, "_BLOCK", block):
+            got = compound._smooth_gain(gain_db, rate)
+        assert got.tobytes() == loop_smooth_gain(gain_db, rate).tobytes()
+
+    @pytest.mark.parametrize("block", _BLOCKS)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_one_pole_lowpass(self, block, data):
+        samples = data.draw(_signal(block, channels=data.draw(st.integers(1, 2))))
+        cutoff = data.draw(st.floats(20.0, 400.0))
+        rate = data.draw(st.sampled_from([8000, 16000, 44100]))
+        with mock.patch.object(compound, "_BLOCK", block):
+            got = compound._one_pole_lowpass(samples, cutoff, rate)
+        assert got.tobytes() == loop_one_pole_lowpass(samples, cutoff, rate).tobytes()
+
+
+def _syllabic(channels, duration_s, seed):
+    """Speech-like test signal: noise under a 2-4 Hz syllabic envelope that
+    crosses a -20 dBFS threshold in both directions, with silent gaps."""
+    rng = np.random.default_rng(seed)
+    n = int(duration_s * RATE)
+    t = np.arange(n) / RATE
+    envelope = np.maximum(0.0, np.sin(2 * np.pi * rng.uniform(2.0, 4.0) * t))
+    return AudioBuffer(np.clip(0.5 * envelope * rng.standard_normal((channels, n)), -1, 1), RATE)
+
+
+class TestEffectsMatchLoops:
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize(
+        "threshold_db, ratio", [(-20.0, 4.0), (-40.0, 1.0), (-6.0, 20.0)]
+    )
+    def test_compress(self, channels, threshold_db, ratio):
+        buf = _syllabic(channels, 1.5, seed=channels)
+        with _loop_references():
+            want = compound.compress(buf, threshold_db, ratio)
+        got = compound.compress(buf, threshold_db, ratio)
+        assert got.samples.tobytes() == want.samples.tobytes()
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("cutoff_hz, gain_db", [(150.0, 6.0), (20.0, -40.0), (400.0, 40.0)])
+    def test_bass_boost(self, channels, cutoff_hz, gain_db):
+        buf = _syllabic(channels, 1.5, seed=10 + channels)
+        with _loop_references():
+            want = compound.bass_boost(buf, cutoff_hz, gain_db)
+        got = compound.bass_boost(buf, cutoff_hz, gain_db)
+        assert got.samples.tobytes() == want.samples.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 3])
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_short_clips_any_block(self, block, data):
+        channels = data.draw(st.integers(1, 2))
+        frames = data.draw(st.integers(1, 40))
+        sample = st.floats(-1.0, 1.0, allow_nan=False, width=64)
+        samples = data.draw(st.lists(sample, min_size=channels * frames, max_size=channels * frames))
+        buf = AudioBuffer(np.reshape(samples, (channels, frames)), RATE)
+        with _loop_references():
+            want = (compound.compress(buf, -20.0, 4.0), compound.bass_boost(buf, 150.0, 6.0))
+        with mock.patch.object(compound, "_BLOCK", block):
+            got = (compound.compress(buf, -20.0, 4.0), compound.bass_boost(buf, 150.0, 6.0))
+        for g, w in zip(got, want):
+            assert g.samples.tobytes() == w.samples.tobytes()
