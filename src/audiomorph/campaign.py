@@ -105,9 +105,10 @@ class CampaignConfig:
             raise ConfigError(
                 "config needs a nonempty 'backends' list", field="backends"
             )
-        if not (isinstance(self.workers, int) and self.workers >= 1):
+        # a bool is an int to isinstance, so the type is compared exactly
+        if type(self.workers) is not int or self.workers < 1:
             raise ConfigError(
-                f"workers must be a positive integer, got {self.workers}",
+                f"workers must be a positive integer, got {self.workers!r}",
                 field="workers",
             )
         ids = [s.seed_id for s in self.seeds]
@@ -153,7 +154,7 @@ class CampaignConfig:
             mrs=mrs,
             backend_configs=tuple(backends),
             output_dir=out_path,
-            workers=int(d.get("workers", 4)),
+            workers=d.get("workers", 4),
         )
 
     @classmethod

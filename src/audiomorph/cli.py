@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
+import re
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from . import __version__
 from .audio import WavFormatError, content_digest, read_wav, write_wav
@@ -32,7 +34,7 @@ from .errors import (
     DomainError,
     ParameterError,
 )
-from .perturb import Perturbation, normalize_kind
+from .perturb import OPS, Perturbation, normalize_kind
 from .perturb.linguistic import (
     Transcript,
     benign_discontinuity_text,
@@ -50,54 +52,36 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 EXIT_NO_SEEDS = 3
 
-# flag -> (parameter name, converter) per relation kind; one flag table so
-# argparse can reject unknown flags while kinds validate their own subset
-_KIND_FLAGS = {
-    "time_stretch": {"factor": ("factor", float)},
-    "time_shift": {"delta": ("delta_s", float)},
-    "pan": {"position": ("position", float)},
-    "surround": {"rotation": ("rotation_hz", float)},
-    "pitch_shift": {"semitones": ("semitones", float)},
-    "inject_noise": {"snr": ("target_snr_db", float), "seed": ("seed", int)},
-    "repeat_segment": {
-        "start": ("start_s", float),
-        "end": ("end_s", float),
-        "count": ("count", int),
-    },
-    "gain": {"db": ("db", float)},
-    "compress": {"threshold": ("threshold_db", float), "ratio": ("ratio", float)},
-    "ring_mod": {"carrier": ("carrier_hz", float)},
-    "bass_boost": {"cutoff": ("cutoff_hz", float), "gain": ("gain_db", float)},
-    "tremolo": {"rate": ("rate_hz", float), "depth": ("depth", float)},
-    "distort": {"threshold": ("clip_threshold", float), "drive": ("drive", float)},
-    "echo": {"delay": ("delay_s", float), "decay": ("decay", float), "taps": ("taps", int)},
-    "reverb": {
-        "intensity": ("intensity", float),
-        "duration": ("duration_s", float),
-        "seed": ("seed", int),
-    },
-    "discontinuity": {
-        "targets": ("targets", str),
-        "gap": ("gap_s", float),
-        "repeats": ("repeats", int),
-    },
-    "discontinuity_text": {
-        "targets": ("targets", str),
-        "marker": ("marker", str),
-        "repeats": ("repeats", int),
-    },
-    "homophone": {"targets": ("targets", str), "seed": ("seed", int)},
-}
+# the text relations edit transcripts; the audio ones are perturb.OPS
+_TEXT_OPS = {"homophone": homophone_substitute, "discontinuity_text": benign_discontinuity_text}
 
-_ALL_FLAGS = sorted({flag for table in _KIND_FLAGS.values() for flag in table})
+# a parameter becomes a flag exactly when its annotation has a converter
+_CONVERTERS = {float: float, int: int, str: str, Iterable[str]: str}
 
-# flags a kind fills in itself when omitted
-_OPTIONAL_DEFAULTS = {
-    "homophone": {"seed": 0},
-    "discontinuity_text": {"marker": "..."},
-}
+# flags that are not the parameter name less its unit suffix
+_FLAG_ALIASES = {"target_snr_db": "snr", "clip_threshold": "threshold", "stop_marker": "marker"}
 
-_TEXT_KINDS = {"discontinuity_text", "homophone"}
+# stop_marker sits before the required repeats, which callers pass
+# positionally, so its default cannot move into the signature
+_CLI_DEFAULTS = {"stop_marker": "..."}
+
+
+def _flag_table(fn) -> dict:
+    """flag -> (parameter name, converter, default) for fn's flag-bearing
+    parameters; a flag whose default is ``inspect.Parameter.empty`` is required."""
+    table = {}
+    for p in inspect.signature(fn, eval_str=True).parameters.values():
+        if p.annotation in _CONVERTERS:
+            flag = _FLAG_ALIASES.get(p.name) or re.sub(r"_(s|hz|db)$", "", p.name)
+            default = _CLI_DEFAULTS.get(p.name, p.default)
+            table[flag] = (p.name, _CONVERTERS[p.annotation], default)
+    return table
+
+
+# one flag table so argparse can reject unknown flags while kinds
+# validate their own subset
+_KIND_TABLES = {kind: _flag_table(fn) for kind, fn in {**OPS, **_TEXT_OPS}.items()}
+_ALL_FLAGS = sorted({flag for table in _KIND_TABLES.values() for flag in table})
 
 
 class _UsageError(Exception):
@@ -154,15 +138,15 @@ def _build_parser() -> _Parser:
 
 
 def _collect_params(args, kind: str) -> dict:
-    table = _KIND_FLAGS[kind]
+    table = _KIND_TABLES[kind]
     params = {}
     extraneous = []
     for flag in _ALL_FLAGS:
-        value = getattr(args, flag.replace("-", "_"))
+        value = getattr(args, flag)
         if value is None:
             continue
         if flag in table:
-            name, convert = table[flag]
+            name, convert, _ = table[flag]
             try:
                 params[name] = convert(value)
             except ValueError:
@@ -171,14 +155,14 @@ def _collect_params(args, kind: str) -> dict:
             extraneous.append(f"--{flag}")
     if extraneous:
         raise _UsageError(f"{kind} does not take {', '.join(extraneous)}")
-    defaults = _OPTIONAL_DEFAULTS.get(kind, {})
-    for flag, value in defaults.items():
-        params.setdefault(table[flag][0], value)
-    missing = [
-        f"--{flag}"
-        for flag, (name, _) in table.items()
-        if name not in params and flag not in defaults
-    ]
+    missing = []
+    for flag, (name, _, default) in table.items():
+        if name in params:
+            continue
+        if default is inspect.Parameter.empty:
+            missing.append(f"--{flag}")
+        else:
+            params[name] = default
     if missing:
         raise _UsageError(f"{kind} requires {', '.join(sorted(missing))}")
     return params
@@ -186,30 +170,22 @@ def _collect_params(args, kind: str) -> dict:
 
 def _cmd_perturb(args) -> int:
     kind = normalize_kind(args.mr)
-    if kind not in _KIND_FLAGS:
+    if kind not in _KIND_TABLES:
         raise _UsageError(
-            f"unknown relation {args.mr!r}; choose from {', '.join(sorted(_KIND_FLAGS))}"
+            f"unknown relation {args.mr!r}; choose from {', '.join(sorted(_KIND_TABLES))}"
         )
     params = _collect_params(args, kind)
     if "targets" in params:
         params["targets"] = [t for t in params["targets"].split(",") if t]
 
     descriptor = {"kind": kind, "params": dict(params)}
-    if kind in _TEXT_KINDS:
+    if kind in _TEXT_OPS:
         transcript = load_transcript(args.input)
         if kind == "homophone":
             lexicon = load_lexicon(args.lexicon) if args.lexicon else default_lexicon()
-            result = homophone_substitute(
-                transcript, lexicon, params["targets"], seed=params["seed"]
-            )
-            out_t = result.transcript
+            out_t = homophone_substitute(transcript, lexicon, **params).transcript
         else:
-            out_t = benign_discontinuity_text(
-                transcript,
-                params["targets"],
-                stop_marker=params["marker"],
-                repeats=params["repeats"],
-            )
+            out_t = benign_discontinuity_text(transcript, **params)
         _write_transcript(out_t, args.output)
         descriptor["output"] = args.output
         print(json.dumps(descriptor, sort_keys=True))
@@ -241,13 +217,15 @@ def _write_transcript(t: Transcript, path) -> None:
 
 
 def _cmd_campaign(args) -> int:
+    if args.workers is not None and args.workers < 1:
+        raise _UsageError("--workers must be >= 1")
     if args.replay:
-        report = replay_campaign(args.replay, output_dir=_replay_dir(args))
+        report = replay_campaign(
+            args.replay, output_dir=_replay_dir(args), workers=args.workers or 4
+        )
     else:
         config = CampaignConfig.from_file(args.config)
         if args.workers is not None:
-            if args.workers < 1:
-                raise _UsageError("--workers must be >= 1")
             config = dataclasses.replace(config, workers=args.workers)
         report = run_campaign(config)
 

@@ -8,6 +8,7 @@ parameter (audio discontinuity) also take the seed's aligned transcript.
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional
@@ -44,6 +45,12 @@ def normalize_kind(name: str) -> str:
     return name.strip().lower().replace("-", "_")
 
 
+@functools.lru_cache(maxsize=None)
+def _signature(kind: str) -> inspect.Signature:
+    # read once per kind, not on every needs_transcript and apply
+    return inspect.signature(OPS[kind])
+
+
 @dataclass(frozen=True)
 class Perturbation:
     """Reproducible descriptor: registry kind plus parameters (seeds
@@ -61,13 +68,13 @@ class Perturbation:
         # parameter names fail here, at config load; values fail on apply
         placeholders = {"transcript": None} if self.needs_transcript else {}
         try:
-            inspect.signature(OPS[kind]).bind(None, **placeholders, **self.params)
+            _signature(kind).bind(None, **placeholders, **self.params)
         except TypeError as exc:
             raise ParameterError(f"{kind}: {exc}") from exc
 
     @property
     def needs_transcript(self) -> bool:
-        return "transcript" in inspect.signature(OPS[self.kind]).parameters
+        return "transcript" in _signature(self.kind).parameters
 
     def apply(
         self, audio: AudioBuffer, transcript: Optional[linguistic.Transcript] = None

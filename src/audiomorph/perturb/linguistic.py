@@ -168,7 +168,7 @@ def homophone_substitute(
     t: Transcript,
     lexicon: HomophoneLexicon,
     targets: Iterable[str],
-    seed: int,
+    seed: int = 0,
 ) -> SubstitutionResult:
     """Replace each target token that has a lexicon entry with its
     top-ranked candidate; rank ties are resolved by a seeded random

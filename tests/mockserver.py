@@ -1,7 +1,15 @@
-"""In-process HTTP moderation server for backend tests: records request
-timestamps/headers/bodies and serves scripted responses."""
+"""HTTP moderation server for backend tests: records request
+timestamps/headers/bodies and serves scripted responses.
+
+``MockModerationServer`` runs in the test's own process.
+``SubprocessModerationServer`` runs the default-plan server in a child
+process, so its receipt stamps do not wait on the test's client threads;
+run as a script, this module is that child.
+"""
 
 import json
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -66,3 +74,48 @@ class MockModerationServer:
         self._server.server_close()
         self._thread.join(timeout=5)
         return False
+
+
+class SubprocessModerationServer:
+    """The default-plan server in its own process. ``stamps`` holds the
+    receipt times (``time.monotonic`` in the child) of every request since
+    the last ``reset``, once the ``with`` block has ended."""
+
+    def __enter__(self):
+        self._proc = subprocess.Popen(
+            [sys.executable, __file__], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            text=True,
+        )
+        self.url = self._proc.stdout.readline().strip()
+        self.stamps = None
+        return self
+
+    def reset(self):
+        """Forget the requests received so far."""
+        self._proc.stdin.write("reset\n")
+        self._proc.stdin.flush()
+        self._proc.stdout.readline()  # the child acknowledges each reset
+
+    def __exit__(self, exc_type, *exc):
+        # closing the child's standard input stops it
+        out, _ = self._proc.communicate(timeout=30)
+        if exc_type is None:
+            self.stamps = json.loads(out)
+        return False
+
+
+def _serve_until_stdin_closes() -> None:
+    """Child side: print the URL, answer each ``reset`` line, and print
+    the receipt stamps as JSON when standard input closes."""
+    with MockModerationServer() as server:
+        print(server.url, flush=True)
+        for _ in sys.stdin:
+            server.reset()
+            print("ok", flush=True)
+        with server._lock:
+            stamps = [when for when, *_ in server.requests]
+    json.dump(stamps, sys.stdout)
+
+
+if __name__ == "__main__":
+    _serve_until_stdin_closes()

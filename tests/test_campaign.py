@@ -220,6 +220,14 @@ class TestConfig:
             CampaignConfig.from_dict(config)
         assert err.value.field == "transcript_path"
 
+    @pytest.mark.parametrize("workers", [2.7, True, "3", "four"])
+    def test_non_integer_workers_rejected(self, workers):
+        # checked as given, never coerced: 2.7 is not 2 and true is not 1
+        config = {**self._minimal(), "workers": workers}
+        with pytest.raises(ConfigError, match="workers must be a positive integer") as err:
+            CampaignConfig.from_dict(config)
+        assert err.value.field == "workers"
+
     def test_from_file_round_trip(self, tmp_path):
         spec, _ = _make_seed(tmp_path, "a", 300.0, "insult")
         cfg = {

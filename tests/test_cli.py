@@ -1,8 +1,10 @@
 """Command line surface: exit codes, stdout machine-parseability, flag
 validation, and the wiring of every subcommand."""
 
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ from audiomorph import __version__, cli
 from audiomorph.audio import content_digest, read_wav, rms, write_wav
 from audiomorph.backends.fixture import save_fixtures
 from audiomorph.backends import Category, Verdict
+from audiomorph.perturb import OPS
 from .conftest import sine
 
 
@@ -173,7 +176,10 @@ class TestPerturb:
             str(src), str(out),
         )
         assert code == 0
-        assert json.loads(stdout)["kind"] == "homophone"
+        descriptor = json.loads(stdout)
+        assert descriptor["kind"] == "homophone"
+        # the omitted --seed is written into the descriptor as its default
+        assert descriptor["params"] == {"seed": 0, "targets": ["fuck"]}
         assert out.read_text().split() == ["folk", "you"]
         assert "folk you" in err
 
@@ -187,6 +193,101 @@ class TestPerturb:
         )
         assert code == 0
         assert "son of a... a... a... bitch" in err
+
+
+# The CLI contract written out by hand: flag -> (parameter name, converter)
+# per kind, plus the flags a kind fills in when omitted. The tables the CLI
+# reads from the op signatures must give exactly this, except that
+# discontinuity_text's --marker names the op's parameter, stop_marker.
+_REFERENCE_FLAGS = {
+    "time_stretch": {"factor": ("factor", float)},
+    "time_shift": {"delta": ("delta_s", float)},
+    "pan": {"position": ("position", float)},
+    "surround": {"rotation": ("rotation_hz", float)},
+    "pitch_shift": {"semitones": ("semitones", float)},
+    "inject_noise": {"snr": ("target_snr_db", float), "seed": ("seed", int)},
+    "repeat_segment": {
+        "start": ("start_s", float),
+        "end": ("end_s", float),
+        "count": ("count", int),
+    },
+    "gain": {"db": ("db", float)},
+    "compress": {"threshold": ("threshold_db", float), "ratio": ("ratio", float)},
+    "ring_mod": {"carrier": ("carrier_hz", float)},
+    "bass_boost": {"cutoff": ("cutoff_hz", float), "gain": ("gain_db", float)},
+    "tremolo": {"rate": ("rate_hz", float), "depth": ("depth", float)},
+    "distort": {"threshold": ("clip_threshold", float), "drive": ("drive", float)},
+    "echo": {"delay": ("delay_s", float), "decay": ("decay", float), "taps": ("taps", int)},
+    "reverb": {
+        "intensity": ("intensity", float),
+        "duration": ("duration_s", float),
+        "seed": ("seed", int),
+    },
+    "discontinuity": {
+        "targets": ("targets", str),
+        "gap": ("gap_s", float),
+        "repeats": ("repeats", int),
+    },
+    "discontinuity_text": {
+        "targets": ("targets", str),
+        "marker": ("marker", str),
+        "repeats": ("repeats", int),
+    },
+    "homophone": {"targets": ("targets", str), "seed": ("seed", int)},
+}
+
+_REFERENCE_DEFAULTS = {
+    "homophone": {"seed": 0},
+    "discontinuity_text": {"marker": "..."},
+}
+
+
+class TestFlagTables:
+    def test_every_kind_has_a_table(self):
+        assert set(cli._KIND_TABLES) == set(_REFERENCE_FLAGS)
+
+    @pytest.mark.parametrize("kind", sorted(_REFERENCE_FLAGS))
+    def test_derived_table_matches_reference(self, kind):
+        reference = _REFERENCE_FLAGS[kind]
+        defaults = _REFERENCE_DEFAULTS.get(kind, {})
+        derived = cli._KIND_TABLES[kind]
+        assert set(derived) == set(reference)
+        for flag, (name, convert) in reference.items():
+            derived_name, derived_convert, default = derived[flag]
+            if (kind, flag) == ("discontinuity_text", "marker"):
+                assert derived_name == "stop_marker"
+            else:
+                assert derived_name == name
+            assert derived_convert is convert
+            if flag in defaults:
+                assert default == defaults[flag]
+        required = {
+            flag for flag, (_, _, default) in derived.items()
+            if default is inspect.Parameter.empty
+        }
+        assert required == set(reference) - set(defaults)
+
+
+def _readme_inventory():
+    """kind -> the backticked names in its parameters column, read from
+    README's "Perturbation inventory" table."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Perturbation inventory", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].startswith("`"):
+            rows[cells[0].strip("`")] = re.findall(r"`([^`]+)`", cells[1])
+    return rows
+
+
+def test_readme_inventory_matches_signatures():
+    rows = _readme_inventory()
+    for kind in [*OPS, *cli._TEXT_OPS]:
+        assert kind in rows, f"README inventory has no row for {kind}"
+        params = [name for name, _, _ in cli._KIND_TABLES[kind].values()]
+        assert rows[kind] == params, f"README row for {kind} lists {rows[kind]}"
+    assert set(rows) == set(OPS) | set(cli._TEXT_OPS)
 
 
 def _write_campaign(tmp_path, categories=("insult", "porn"), toxic_fixture=True):
@@ -259,6 +360,35 @@ class TestCampaign:
         assert code == 0
         original = (tmp_path / "out" / "report.json").read_bytes()
         assert (replay_dir / "report.json").read_bytes() == original
+
+    def test_replay_honours_workers(self, capsys, tmp_path):
+        config = _write_campaign(tmp_path)
+        assert run_cli(capsys, "campaign", str(config))[0] == 0
+        manifest = tmp_path / "out" / "manifest.json"
+        for workers in ("1", "4"):
+            replay_dir = tmp_path / f"replayed{workers}"
+            code, _, _ = run_cli(
+                capsys, "campaign", str(replay_dir), "--replay", str(manifest),
+                "--workers", workers,
+            )
+            assert code == 0
+            replayed = json.loads((replay_dir / "manifest.json").read_text())
+            assert replayed["workers"] == int(workers)
+        for name in ("report.json", "report.csv"):
+            original = (tmp_path / "out" / name).read_bytes()
+            assert (tmp_path / "replayed1" / name).read_bytes() == original
+            assert (tmp_path / "replayed4" / name).read_bytes() == original
+
+    def test_replay_rejects_zero_workers(self, capsys, tmp_path):
+        config = _write_campaign(tmp_path)
+        assert run_cli(capsys, "campaign", str(config))[0] == 0
+        code, _, err = run_cli(
+            capsys, "campaign", str(tmp_path / "replayed"),
+            "--replay", str(tmp_path / "out" / "manifest.json"), "--workers", "0",
+        )
+        assert code == 1
+        assert "--workers must be >= 1" in err
+        assert not (tmp_path / "replayed").exists()
 
     def test_export_split(self, capsys, tmp_path):
         config = _write_campaign(tmp_path, categories=("spam", "spam", "spam"))
