@@ -99,10 +99,6 @@ class AudioBuffer:
             return self.samples[0]
         return self.samples.mean(axis=0)
 
-    def with_samples(self, samples: np.ndarray) -> "AudioBuffer":
-        """New buffer with the same rate and different samples."""
-        return AudioBuffer(samples, self.sample_rate)
-
 
 @dataclass(frozen=True)
 class Spectrum:

@@ -6,6 +6,7 @@ system under test.
 from __future__ import annotations
 
 import enum
+import inspect
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
@@ -65,63 +66,55 @@ class ModerationBackend:
         raise NotImplementedError
 
 
-def _require(options: Mapping[str, Any], field: str, kind: str):
-    if field not in options:
-        raise ConfigError(f"{kind} backend config missing {field!r}", field=field)
-    return options[field]
+def _constructors():
+    """kind -> the callable that builds it; imported late because each
+    backend module imports this one."""
+    from .fixture import FixtureBackend
+    from .http import HttpBackend
+    from .spotter import KeywordSpotterBackend
 
-
-_COMMON_KEYS = ("kind", "name")
-_KIND_KEYS = {
-    "fixture": ("path",),
-    "keyword_spotter": ("templates_dir", "threshold", "window_s", "hop_s"),
-    "http": (
-        "endpoint",
-        "response_mapping",
-        "method",
-        "headers",
-        "body",
-        "audio_encoding",
-        "rate_limit_per_s",
-        "max_attempts",
-        "backoff_s",
-        "timeout_s",
-    ),
-}
+    return {
+        "fixture": FixtureBackend.from_file,
+        "keyword_spotter": KeywordSpotterBackend,
+        "http": HttpBackend,
+    }
 
 
 def build_backend(config: Mapping[str, Any]) -> ModerationBackend:
     """Construct a backend from a declarative config mapping.
 
-    Common fields: ``kind`` ({http, fixture, keyword_spotter}) and an
-    optional ``name`` (defaults to the kind). Remaining fields are
-    kind-specific; see each backend class. A key the kind does not read
-    is a ConfigError naming it.
+    ``kind`` ({http, fixture, keyword_spotter}) picks the constructor, and
+    every other key is one of its parameters (``name`` defaults to the
+    kind). A parameter without a default is required, and a value for a
+    ``float`` or ``int`` parameter is converted. An unknown key, a missing
+    one or a value that does not convert is a ConfigError naming it.
     """
-    from . import fixture as fixture_mod
-    from . import http as http_mod
-    from . import spotter as spotter_mod
-
     if "kind" not in config:
         raise ConfigError("backend config missing 'kind'", field="kind")
     kind = config["kind"]
-    if not (isinstance(kind, str) and kind in _KIND_KEYS):
+    constructors = _constructors()
+    if not (isinstance(kind, str) and kind in constructors):
         raise ConfigError(f"unknown backend kind {kind!r}", field="kind")
-    reject_unknown_keys(config, _COMMON_KEYS + _KIND_KEYS[kind], f"{kind} backend")
-    name = config.get("name", kind)
-    if kind == "fixture":
-        path = _require(config, "path", kind)
-        return fixture_mod.FixtureBackend.from_file(path, name=name)
-    if kind == "keyword_spotter":
-        templates_dir = _require(config, "templates_dir", kind)
-        return spotter_mod.KeywordSpotterBackend(
-            templates=spotter_mod.load_templates(templates_dir),
-            threshold=float(_require(config, "threshold", kind)),
-            window_s=float(config.get("window_s", 0.4)),
-            hop_s=float(config.get("hop_s", 0.1)),
-            name=name,
-        )
-    return http_mod.HttpBackend.from_config(config, name=name)
+    constructor = constructors[kind]
+    params = inspect.signature(constructor, eval_str=True).parameters
+    reject_unknown_keys(config, ("kind", *params), f"{kind} backend")
+    kwargs = {}
+    for field, p in params.items():
+        if field not in config:
+            if p.default is inspect.Parameter.empty:
+                raise ConfigError(f"{kind} backend config missing {field!r}", field=field)
+            continue
+        value = config[field]
+        if p.annotation in (float, int):
+            try:
+                value = p.annotation(value)
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"{kind} backend {field} must be {p.annotation.__name__}, got {value!r}",
+                    field=field,
+                ) from None
+        kwargs[field] = value
+    return constructor(**kwargs)
 
 
 __all__ = [

@@ -51,9 +51,6 @@ class FixtureBackend(ModerationBackend):
                 f"backend {self.name!r} has no fixture for digest {digest}"
             ) from None
 
-    def __len__(self) -> int:
-        return len(self._verdicts)
-
 
 def save_fixtures(path, verdicts: Mapping[str, Verdict]) -> None:
     """Write a fixture file consumable by FixtureBackend.from_file."""

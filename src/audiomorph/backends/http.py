@@ -21,6 +21,7 @@ campaigns can record the case as unanswered and continue.
 from __future__ import annotations
 
 import base64
+import math
 import os
 import re
 import time
@@ -91,7 +92,6 @@ class HttpBackend(ModerationBackend):
         backoff_s: float = 0.5,
         timeout_s: float = 30.0,
         name: str = "http",
-        session: Optional[requests.Session] = None,
     ):
         if "path" not in response_mapping or "categories" not in response_mapping:
             raise ConfigError(
@@ -104,6 +104,14 @@ class HttpBackend(ModerationBackend):
             )
         if max_attempts < 1:
             raise ConfigError("max_attempts must be >= 1", field="max_attempts")
+        if not (math.isfinite(backoff_s) and backoff_s >= 0):
+            raise ConfigError(
+                f"backoff_s must be finite and >= 0, got {backoff_s!r}", field="backoff_s"
+            )
+        if not (math.isfinite(timeout_s) and timeout_s > 0):
+            raise ConfigError(
+                f"timeout_s must be finite and > 0, got {timeout_s!r}", field="timeout_s"
+            )
         self.name = name
         self._endpoint = endpoint
         self._method = method.upper()
@@ -118,26 +126,7 @@ class HttpBackend(ModerationBackend):
         self._max_attempts = int(max_attempts)
         self._backoff_s = float(backoff_s)
         self._timeout_s = float(timeout_s)
-        self._session = session or requests.Session()
-
-    @classmethod
-    def from_config(cls, config: Mapping[str, Any], name: str = "http") -> "HttpBackend":
-        for field in ("endpoint", "response_mapping"):
-            if field not in config:
-                raise ConfigError(f"http backend config missing {field!r}", field=field)
-        return cls(
-            endpoint=config["endpoint"],
-            response_mapping=config["response_mapping"],
-            method=config.get("method", "POST"),
-            headers=config.get("headers"),
-            body=config.get("body"),
-            audio_encoding=config.get("audio_encoding", "base64"),
-            rate_limit_per_s=float(config.get("rate_limit_per_s", 5.0)),
-            max_attempts=int(config.get("max_attempts", 3)),
-            backoff_s=float(config.get("backoff_s", 0.5)),
-            timeout_s=float(config.get("timeout_s", 30.0)),
-            name=name,
-        )
+        self._session = requests.Session()
 
     def moderate(self, audio: AudioBuffer) -> Verdict:
         blob = wav_bytes(audio)

@@ -49,10 +49,9 @@ _DIFF_VALUES = 1 << 16
 
 @dataclass(frozen=True)
 class MfccFeatures:
-    """Per-frame MFCC vectors (rows) with their hop in seconds."""
+    """Per-frame MFCC vectors, one row per frame."""
 
     vectors: np.ndarray
-    frame_hop_s: float = FRAME_HOP_S
 
     def __post_init__(self):
         data = np.asarray(self.vectors, dtype=np.float64)
@@ -309,19 +308,18 @@ def load_templates(directory) -> List[Tuple[str, MfccFeatures]]:
 
 
 class KeywordSpotterBackend(ModerationBackend):
-    """Backend wrapper over spot_keywords. ``threshold``, ``window_s`` and
+    """Backend wrapper over spot_keywords with the templates of
+    ``templates_dir`` (see load_templates). ``threshold``, ``window_s`` and
     ``hop_s`` must be finite and positive."""
 
     def __init__(
         self,
-        templates: Sequence[Tuple[str, MfccFeatures]],
+        templates_dir,
         threshold: float,
         window_s: float = 0.4,
         hop_s: float = 0.1,
         name: str = "keyword_spotter",
     ):
-        if not templates:
-            raise ConfigError("keyword spotter needs at least one template")
         for field, value in (("threshold", threshold), ("window_s", window_s), ("hop_s", hop_s)):
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(
@@ -329,7 +327,7 @@ class KeywordSpotterBackend(ModerationBackend):
                     field=field,
                 )
         self.name = name
-        self._templates = list(templates)
+        self._templates = load_templates(templates_dir)
         self._threshold = float(threshold)
         self._window_s = float(window_s)
         self._hop_s = float(hop_s)

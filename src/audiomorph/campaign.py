@@ -525,6 +525,22 @@ def run_campaign(
     return _emit(config, seeds, outcomes, cells, filter_report, verdicts)
 
 
+def _read_manifest(path, keys: Sequence[str]) -> dict:
+    """A campaign's manifest.json; unreadable JSON or a missing top-level
+    key is a ConfigError, the latter naming the key."""
+    path = Path(path)
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read manifest {path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"manifest {path} must hold a JSON object")
+    for key in keys:
+        if key not in manifest:
+            raise ConfigError(f"manifest {path} is missing {key!r}", field=key)
+    return manifest
+
+
 def replay_campaign(manifest_path, output_dir, workers: int = 4) -> CampaignReport:
     """Re-run a recorded campaign offline: seeds are re-read, artifacts are
     regenerated from the recorded relation descriptors, and every query is
@@ -532,12 +548,7 @@ def replay_campaign(manifest_path, output_dir, workers: int = 4) -> CampaignRepo
     resulting report must be byte-identical to the original."""
     from .backends.fixture import FixtureBackend
 
-    manifest_path = Path(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read manifest {manifest_path}: {exc}") from exc
-
+    manifest = _read_manifest(manifest_path, ("seeds", "mrs", "backends", "verdicts"))
     backends = [
         FixtureBackend(
             {
@@ -573,20 +584,25 @@ def export_retraining_set(
     seed: int,
     output_path=None,
 ) -> List[dict]:
-    """Build a balanced retraining manifest from a finished campaign:
-    cases are grouped by (relation, category), each group is shuffled with
-    the given seed, and `split` of the group is tagged test with an equal
-    share tagged train."""
+    """Build a balanced retraining manifest from a finished campaign's
+    misclassified cases, those some backend answered non_toxic: they are
+    grouped by (relation, category), each group is shuffled with the given
+    seed, and `split` of the group is tagged test with an equal share
+    tagged train."""
     if not (0.0 < split < 1.0):
         raise ParameterError(f"split must lie in (0, 1), got {split}")
-    manifest_path = Path(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read manifest {manifest_path}: {exc}") from exc
+    manifest = _read_manifest(manifest_path, ("cases", "verdicts"))
+    missed = {
+        digest
+        for answers in manifest["verdicts"].values()
+        for digest, verdict in answers.items()
+        if verdict is not None and verdict["category"] == Category.NON_TOXIC.value
+    }
 
     groups: Dict[Tuple[str, str], List[dict]] = {}
     for case in manifest["cases"]:
+        if case["digest"] not in missed:
+            continue
         mr_label = Perturbation.from_dict(case["mr"]).label
         groups.setdefault((mr_label, case["category"]), []).append(case)
 

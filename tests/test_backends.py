@@ -2,11 +2,14 @@
 against a local mock server, and the MFCC+DTW spotter."""
 
 import base64
+import inspect
 import itertools
 import json
 import math
+import re
 import threading
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -24,6 +27,7 @@ from audiomorph.backends import (
 )
 from audiomorph.backends.fixture import FixtureBackend, save_fixtures
 from audiomorph.backends.http import HttpBackend
+from audiomorph import backends
 from audiomorph.backends import ratelimit
 from audiomorph.backends.ratelimit import RateLimiter
 from audiomorph.backends import spotter
@@ -620,6 +624,31 @@ class TestBuildBackend:
             build_backend({**config, field: value})
         assert err.value.field == field
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("backoff_s", -0.5), ("backoff_s", math.nan), ("backoff_s", math.inf),
+         ("timeout_s", 0.0), ("timeout_s", -1.0), ("timeout_s", math.inf)],
+    )
+    def test_http_rejects_bad_backoff_or_timeout(self, field, value):
+        config = {"kind": "http", "endpoint": "http://x/y", "response_mapping": _mapping()}
+        with pytest.raises(ConfigError, match=field) as err:
+            build_backend({**config, field: value})
+        assert err.value.field == field
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"kind": "keyword_spotter", "templates_dir": ".", "threshold": "abc"},
+             "threshold"),
+            ({"kind": "http", "endpoint": "http://x/y", "response_mapping": _mapping(),
+              "max_attempts": "three"}, "max_attempts"),
+        ],
+    )
+    def test_unconvertible_value_named(self, config, field):
+        with pytest.raises(ConfigError, match=field) as err:
+            build_backend(config)
+        assert err.value.field == field
+
     def test_http_kind(self):
         backend = build_backend(
             {"kind": "http", "endpoint": "http://x/y", "response_mapping": _mapping()}
@@ -685,3 +714,30 @@ class TestBuildBackend:
         )
         assert backend.name == "api"
         assert backend._limiter._interval == 1.0
+
+
+def _readme_backend_keys():
+    """kind -> (keys, required keys), read from the list under README's
+    "Campaign config": ``- `kind`: `a`, `b` (required); `c`, ...``."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Campaign config", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        match = re.match(r"- `(\w+)`: (.*)", line)
+        if match:
+            keys = match.group(2)
+            rows[match.group(1)] = (
+                re.findall(r"`(\w+)`", keys),
+                re.findall(r"`(\w+)`", keys.split("(required)")[0]),
+            )
+    return rows
+
+
+def test_readme_backend_keys_match_constructors():
+    rows = _readme_backend_keys()
+    constructors = backends._constructors()
+    assert set(rows) == set(constructors)
+    for kind, constructor in constructors.items():
+        params = inspect.signature(constructor).parameters
+        required = [n for n, p in params.items() if p.default is inspect.Parameter.empty]
+        assert rows[kind] == (list(params), required), f"README lists {rows[kind]} for {kind}"

@@ -478,31 +478,66 @@ class TestQueryOnce:
 
 
 class TestExportRetrainingSet:
-    def _manifest_with_classes(self, tmp_path, per_class=100):
-        """Synthetic manifest: one MR, two categories, per_class cases each."""
+    def _manifest_with_classes(self, tmp_path, per_class=100, answers=None):
+        """Synthetic manifest: one MR, two categories, per_class cases each.
+        Backend "b" answers every case non_toxic unless ``answers`` maps the
+        case's digest to another verdict entry (or None, unanswered)."""
+        answers = answers or {}
         cases = []
+        verdicts = {}
         for cat in ("insult", "spam"):
             for i in range(per_class):
+                digest = f"{cat}-{i:04d}"
                 cases.append(
                     {
                         "seed_id": f"{cat}{i}",
                         "mr": {"kind": "gain", "params": {"db": 6.0}},
-                        "digest": f"{cat}-{i:04d}",
-                        "artifact": f"artifacts/{cat}-{i:04d}.wav",
+                        "digest": digest,
+                        "artifact": f"artifacts/{digest}.wav",
                         "category": cat,
                     }
+                )
+                verdicts[digest] = answers.get(
+                    digest, {"category": "non_toxic", "confidence": 0.5}
                 )
         manifest = {
             "version": "0",
             "seeds": [],
             "mrs": [{"kind": "gain", "params": {"db": 6.0}}],
             "backends": ["b"],
-            "verdicts": {"b": {}},
+            "verdicts": {"b": verdicts},
             "cases": cases,
         }
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest), encoding="utf-8")
         return path
+
+    def test_only_misclassified_cases_exported(self, tmp_path):
+        # of the insult cases, 0000 was caught, 0001 drifted to another
+        # toxic category and 0002 went unanswered: none of them is a miss
+        answers = {
+            "insult-0000": {"category": "insult", "confidence": 0.9},
+            "insult-0001": {"category": "spam", "confidence": 0.9},
+            "insult-0002": None,
+        }
+        path = self._manifest_with_classes(tmp_path, per_class=6, answers=answers)
+        rows = export_retraining_set(path, split=0.4, seed=1)
+        insult = [r["artifact"] for r in rows if r["label"] == "insult"]
+        assert len(insult) == 2  # one test, one train from the three misses
+        assert set(insult) <= {f"artifacts/insult-{i:04d}.wav" for i in (3, 4, 5)}
+        assert len([r for r in rows if r["label"] == "spam"]) == 4
+
+    def test_a_miss_by_any_backend_is_exported(self, tmp_path):
+        path = self._manifest_with_classes(tmp_path, per_class=10)
+        alone = export_retraining_set(path, split=0.2, seed=4)
+        manifest = json.loads(path.read_text())
+        manifest["backends"].append("a")
+        manifest["verdicts"]["a"] = {
+            c["digest"]: {"category": c["category"], "confidence": 0.9}
+            for c in manifest["cases"]
+        }
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert export_retraining_set(path, split=0.2, seed=4) == alone
 
     def test_twenty_twenty_split(self, tmp_path):
         path = self._manifest_with_classes(tmp_path, per_class=100)
@@ -547,6 +582,8 @@ class TestExportRetrainingSet:
         report = run_campaign(config, backends=[ScriptedBackend("b", script)])
         rows = export_retraining_set(report.manifest, split=0.4, seed=2)
         assert rows, "export produced no rows"
+        # the backend answers every seed, so only gain(db=6.0) cases are misses
+        assert all(row["mr"] == {"kind": "gain", "params": {"db": 6.0}} for row in rows)
         for row in rows:
             buf = read_wav(report.output_dir / row["artifact"])
             assert buf.frames > 0

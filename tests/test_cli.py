@@ -16,7 +16,7 @@ from audiomorph import __version__, cli
 from audiomorph.audio import content_digest, read_wav, rms, write_wav
 from audiomorph.backends.fixture import save_fixtures
 from audiomorph.backends import Category, Verdict
-from audiomorph.perturb import OPS
+from audiomorph.perturb import OPS, Perturbation
 from .conftest import sine
 
 
@@ -390,14 +390,39 @@ class TestCampaign:
         assert "--workers must be >= 1" in err
         assert not (tmp_path / "replayed").exists()
 
+    def test_replay_manifest_without_verdicts_is_config_error(self, capsys, tmp_path):
+        config = _write_campaign(tmp_path)
+        assert run_cli(capsys, "campaign", str(config))[0] == 0
+        manifest_path = tmp_path / "out" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["verdicts"]
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        code, _, err = run_cli(
+            capsys, "campaign", str(tmp_path / "replayed"), "--replay", str(manifest_path)
+        )
+        assert code == 1
+        assert "config error:" in err and "'verdicts'" in err
+
     def test_export_split(self, capsys, tmp_path):
         config = _write_campaign(tmp_path, categories=("spam", "spam", "spam"))
+        # the fixture answers the 6 dB louder clips non_toxic: they are the
+        # misses, and the only cases exported
+        louder = {"kind": "gain", "params": {"db": 6.0}}
+        campaign = json.loads(config.read_text())
+        campaign["mrs"].append(louder)
+        config.write_text(json.dumps(campaign), encoding="utf-8")
+        fixtures = json.loads((tmp_path / "fixtures.json").read_text())
+        for seed in campaign["seeds"]:
+            clip = Perturbation.from_dict(louder).apply(read_wav(tmp_path / seed["path"]))
+            fixtures[content_digest(clip)] = {"category": "non_toxic"}
+        (tmp_path / "fixtures.json").write_text(json.dumps(fixtures), encoding="utf-8")
         code, _, _ = run_cli(
             capsys, "campaign", str(config), "--export-split", "0.34"
         )
         assert code == 0
         rows = json.loads((tmp_path / "out" / "retraining.json").read_text())
         assert {r["split"] for r in rows} == {"test", "train"}
+        assert all(r["mr"] == louder for r in rows)
 
 
 class TestKeywords:
