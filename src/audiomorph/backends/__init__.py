@@ -7,8 +7,10 @@ from __future__ import annotations
 
 import enum
 import inspect
+import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from typing import Any, Optional, Union, get_args, get_origin
 
 from ..audio import AudioBuffer
 from ..errors import ConfigError, reject_unknown_keys
@@ -23,7 +25,8 @@ class Category(str, enum.Enum):
     @classmethod
     def parse(cls, value) -> "Category":
         try:
-            return cls(str(value))
+            # a member must pass as itself: its str() is "Category.X" on Python 3.11+
+            return cls(value)
         except ValueError:
             raise ConfigError(
                 f"unknown category {value!r}; expected one of "
@@ -47,8 +50,9 @@ class Verdict:
     def __post_init__(self):
         if not isinstance(self.category, Category):
             object.__setattr__(self, "category", Category.parse(self.category))
-        if self.confidence is not None and not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
+        c = self.confidence
+        if c is not None and not (isinstance(c, numbers.Real) and 0.0 <= c <= 1.0):
+            raise ValueError(f"confidence must be a number in [0, 1], got {c!r}")
 
     @property
     def is_toxic(self) -> bool:
@@ -85,9 +89,10 @@ def build_backend(config: Mapping[str, Any]) -> ModerationBackend:
 
     ``kind`` ({http, fixture, keyword_spotter}) picks the constructor, and
     every other key is one of its parameters (``name`` defaults to the
-    kind). A parameter without a default is required, and a value for a
-    ``float`` or ``int`` parameter is converted. An unknown key, a missing
-    one or a value that does not convert is a ConfigError naming it.
+    kind). A parameter without a default is required, a value for a
+    ``float`` or ``int`` parameter is converted, and one for a ``str`` or
+    ``Mapping`` one must have that type. An unknown key, a missing one or a
+    value that does not convert or has the wrong type is a ConfigError naming it.
     """
     if "kind" not in config:
         raise ConfigError("backend config missing 'kind'", field="kind")
@@ -105,14 +110,23 @@ def build_backend(config: Mapping[str, Any]) -> ModerationBackend:
                 raise ConfigError(f"{kind} backend config missing {field!r}", field=field)
             continue
         value = config[field]
-        if p.annotation in (float, int):
+        annotation = p.annotation
+        if get_origin(annotation) is Union:  # Optional[X] is checked as X
+            annotation = get_args(annotation)[0]
+        expected = get_origin(annotation) or annotation
+        if expected in (float, int):
             try:
-                value = p.annotation(value)
+                value = expected(value)
             except (TypeError, ValueError):
                 raise ConfigError(
-                    f"{kind} backend {field} must be {p.annotation.__name__}, got {value!r}",
+                    f"{kind} backend {field} must be {expected.__name__}, got {value!r}",
                     field=field,
                 ) from None
+        # the default itself (null for an optional one) is always accepted
+        elif expected in (str, Mapping) and not isinstance(value, expected) and value is not p.default:
+            raise ConfigError(
+                f"{kind} backend {field} must be {expected.__name__}, got {value!r}", field=field
+            )
         kwargs[field] = value
     return constructor(**kwargs)
 

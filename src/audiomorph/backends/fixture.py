@@ -1,65 +1,70 @@
-"""Replay backend: verdicts recorded as a JSON map keyed by the content
-digest of the canonical PCM bytes. Bit-deterministic across runs and
-platforms; powers campaign replay and hermetic tests.
+"""Replay backend: verdicts recorded as a verdict table, a JSON map keyed by
+the content digest of the canonical PCM bytes. A fixture file holds one
+table, and a campaign manifest one per backend. Bit-deterministic across
+runs and platforms; powers campaign replay and hermetic tests.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Optional
 
 from ..audio import AudioBuffer, content_digest
-from ..errors import ConfigError, MissingFixtureError
+from ..errors import ConfigError, MissingFixtureError, read_json_object, write_json
 from . import Category, ModerationBackend, Verdict
 
 
+def verdicts_from_json(table, where: str) -> Dict[str, Optional[Verdict]]:
+    """Read a verdict table: digest -> {"category": ..., "confidence":
+    optional, in [0, 1]}, or null for a pair recorded as unanswered. A
+    malformed table or entry is a ConfigError; ``where`` names the table."""
+    if not isinstance(table, dict):
+        raise ConfigError(f"{where} must hold a JSON object")
+    verdicts: Dict[str, Optional[Verdict]] = {}
+    for digest, entry in table.items():
+        if entry is None:
+            verdicts[digest] = None
+            continue
+        if not isinstance(entry, dict) or "category" not in entry:
+            raise ConfigError(
+                f"{where} entry {digest} needs a 'category'", field="category"
+            )
+        try:
+            verdicts[digest] = Verdict(Category.parse(entry["category"]), entry.get("confidence"))
+        except ValueError as exc:  # the confidence; a bad category is a ConfigError
+            raise ConfigError(f"{where} entry {digest}: {exc}", field="confidence") from None
+    return verdicts
+
+
+def verdicts_to_json(verdicts: Mapping[str, Optional[Verdict]]) -> Dict[str, Optional[dict]]:
+    """The verdict table ``verdicts_from_json`` reads back."""
+    return {
+        digest: None
+        if verdict is None
+        else {"category": verdict.category.value, "confidence": verdict.confidence}
+        for digest, verdict in verdicts.items()
+    }
+
+
 class FixtureBackend(ModerationBackend):
-    def __init__(self, verdicts: Mapping[str, Verdict], name: str = "fixture"):
+    def __init__(self, verdicts: Mapping[str, Optional[Verdict]], name: str = "fixture"):
         self.name = name
-        self._verdicts: Dict[str, Verdict] = dict(verdicts)
+        self._verdicts: Dict[str, Optional[Verdict]] = dict(verdicts)
 
     @classmethod
     def from_file(cls, path, name: str = "fixture") -> "FixtureBackend":
-        """Fixture file: JSON object mapping hex digest to
-        {"category": ..., "confidence": optional}."""
-        try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"fixture file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ConfigError(f"fixture file {path} must hold a JSON object")
-        verdicts = {}
-        for digest, entry in payload.items():
-            if not isinstance(entry, dict) or "category" not in entry:
-                raise ConfigError(
-                    f"fixture entry {digest} needs a 'category'", field="category"
-                )
-            verdicts[digest] = Verdict(
-                Category.parse(entry["category"]),
-                entry.get("confidence"),
-                raw=entry,
-            )
-        return cls(verdicts, name=name)
+        """Fixture file: one verdict table."""
+        payload = read_json_object(path, "fixture file")
+        return cls(verdicts_from_json(payload, f"fixture file {path}"), name=name)
 
     def moderate(self, audio: AudioBuffer) -> Verdict:
         digest = content_digest(audio)
-        try:
-            return self._verdicts[digest]
-        except KeyError:
-            raise MissingFixtureError(
-                f"backend {self.name!r} has no fixture for digest {digest}"
-            ) from None
+        verdict = self._verdicts.get(digest)
+        if verdict is None:
+            what = "recorded no answer" if digest in self._verdicts else "has no fixture"
+            raise MissingFixtureError(f"backend {self.name!r} {what} for digest {digest}")
+        return verdict
 
 
-def save_fixtures(path, verdicts: Mapping[str, Verdict]) -> None:
+def save_fixtures(path, verdicts: Mapping[str, Optional[Verdict]]) -> None:
     """Write a fixture file consumable by FixtureBackend.from_file."""
-    payload = {}
-    for digest, verdict in verdicts.items():
-        entry = {"category": verdict.category.value}
-        if verdict.confidence is not None:
-            entry["confidence"] = verdict.confidence
-        payload[digest] = entry
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(verdicts_to_json(verdicts), path)

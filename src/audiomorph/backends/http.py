@@ -104,6 +104,10 @@ class HttpBackend(ModerationBackend):
             )
         if max_attempts < 1:
             raise ConfigError("max_attempts must be >= 1", field="max_attempts")
+        if not rate_limit_per_s > 0:  # NaN fails this too
+            raise ConfigError(
+                f"rate_limit_per_s must be > 0, got {rate_limit_per_s!r}", field="rate_limit_per_s"
+            )
         if not (math.isfinite(backoff_s) and backoff_s >= 0):
             raise ConfigError(
                 f"backoff_s must be finite and >= 0, got {backoff_s!r}", field="backoff_s"

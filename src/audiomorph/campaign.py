@@ -32,6 +32,7 @@ import numpy as np
 from . import __version__
 from .audio import AudioBuffer, content_digest, read_wav, write_wav
 from .backends import Category, ModerationBackend, Verdict, build_backend
+from .backends.fixture import FixtureBackend, verdicts_from_json, verdicts_to_json
 from .errors import (
     BackendUnavailableError,
     CampaignError,
@@ -40,7 +41,9 @@ from .errors import (
     MissingFixtureError,
     ParameterError,
     ResponseMappingError,
+    read_json_object,
     reject_unknown_keys,
+    write_json,
 )
 from .perturb import Perturbation
 # benign_discontinuity_audio is unused here (perturb.OPS runs it), but
@@ -52,6 +55,11 @@ _CASE_ERRORS = (BackendUnavailableError, MissingFixtureError, ResponseMappingErr
 
 _CONFIG_KEYS = ("seeds", "mrs", "backends", "output_dir", "workers")
 _SEED_KEYS = ("id", "path", "category", "transcript")
+# the JSON type of each top-level manifest key that is read back
+_MANIFEST_TYPES = {"seeds": list, "mrs": list, "backends": list, "verdicts": dict, "cases": list}
+
+# the columns of report.csv and of `audiomorph report`, in order
+REPORT_COLUMNS = ("mr", "category", "backend", "generated", "misclassified", "unanswered", "efr")
 
 
 def compute_efr(misclassified: int, answered: int) -> Optional[float]:
@@ -88,6 +96,32 @@ class SeedSpec:
             object.__setattr__(self, "transcript_path", Path(self.transcript_path))
 
 
+def _read_seeds(entries, base_dir: Path, known: Sequence[str] = _SEED_KEYS) -> Tuple[SeedSpec, ...]:
+    """The seed entries of a campaign config or manifest; relative paths
+    resolve against base_dir, and an entry key outside ``known`` is a
+    ConfigError naming it."""
+    if not isinstance(entries, list):
+        raise ConfigError("'seeds' must be a list", field="seeds")
+    seeds = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"seed #{i} must be a JSON object", field="seeds")
+        reject_unknown_keys(entry, known, f"seed #{i}")
+        for name in ("id", "path", "category"):
+            if name not in entry:
+                raise ConfigError(f"seed #{i} is missing '{name}'", field=name)
+        transcript = entry.get("transcript")
+        seeds.append(
+            SeedSpec(
+                seed_id=str(entry["id"]),
+                path=base_dir / entry["path"],
+                category=entry["category"],
+                transcript_path=base_dir / transcript if transcript else None,
+            )
+        )
+    return tuple(seeds)
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     seeds: Tuple[SeedSpec, ...]
@@ -101,10 +135,6 @@ class CampaignConfig:
             raise ConfigError("config needs a nonempty 'seeds' list", field="seeds")
         if not self.mrs:
             raise ConfigError("config needs a nonempty 'mrs' list", field="mrs")
-        if not self.backend_configs:
-            raise ConfigError(
-                "config needs a nonempty 'backends' list", field="backends"
-            )
         # a bool is an int to isinstance, so the type is compared exactly
         if type(self.workers) is not int or self.workers < 1:
             raise ConfigError(
@@ -123,21 +153,9 @@ class CampaignConfig:
         for name in ("seeds", "mrs", "backends", "output_dir"):
             if name not in d:
                 raise ConfigError(f"config is missing '{name}'", field=name)
-        seeds = []
-        for i, entry in enumerate(d["seeds"]):
-            reject_unknown_keys(entry, _SEED_KEYS, f"seed #{i}")
-            for name in ("id", "path", "category"):
-                if name not in entry:
-                    raise ConfigError(f"seed #{i} is missing '{name}'", field=name)
-            transcript = entry.get("transcript")
-            seeds.append(
-                SeedSpec(
-                    seed_id=str(entry["id"]),
-                    path=base_dir / entry["path"],
-                    category=entry["category"],
-                    transcript_path=base_dir / transcript if transcript else None,
-                )
-            )
+        # replay passes backend objects instead, so only a config file must list some
+        if not d["backends"]:
+            raise ConfigError("config needs a nonempty 'backends' list", field="backends")
         mrs = tuple(Perturbation.from_dict(m) for m in d["mrs"])
         backends = []
         for b in d["backends"]:
@@ -150,7 +168,7 @@ class CampaignConfig:
         out = d["output_dir"]
         out_path = Path(out) if os.path.isabs(str(out)) else base_dir / out
         return cls(
-            seeds=tuple(seeds),
+            seeds=_read_seeds(d["seeds"], base_dir),
             mrs=mrs,
             backend_configs=tuple(backends),
             output_dir=out_path,
@@ -159,14 +177,7 @@ class CampaignConfig:
 
     @classmethod
     def from_file(cls, path) -> "CampaignConfig":
-        path = Path(path)
-        try:
-            d = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read campaign config {path}: {exc}") from exc
-        if not isinstance(d, dict):
-            raise ConfigError("campaign config must be a JSON object")
-        return cls.from_dict(d, base_dir=path.parent)
+        return cls.from_dict(read_json_object(path, "campaign config"), Path(path).parent)
 
 
 @dataclass(frozen=True)
@@ -274,10 +285,10 @@ class VerdictStore:
         return answer.result()
 
     def as_json(self) -> Dict[str, Dict[str, Optional[dict]]]:
-        table: Dict[str, Dict[str, Optional[dict]]] = {b.name: {} for b in self.backends}
+        tables: Dict[str, Dict[str, Optional[Verdict]]] = {b.name: {} for b in self.backends}
         for (name, digest), answer in self._answers.items():
-            table[name][digest] = _verdict_json(answer.result())
-        return table
+            tables[name][digest] = answer.result()
+        return {name: verdicts_to_json(table) for name, table in tables.items()}
 
 
 def _load_seeds(config: CampaignConfig) -> List[LoadedSeed]:
@@ -402,16 +413,10 @@ def _tally(outcomes: Sequence[Outcome], backend_names: Sequence[str]) -> Tuple[C
     return tuple(cells[key] for key in sorted(cells))
 
 
-def _dump_json(obj, path: Path) -> None:
-    path.write_text(
-        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def _verdict_json(verdict: Optional[Verdict]) -> Optional[dict]:
-    if verdict is None:
-        return None
-    return {"category": verdict.category.value, "confidence": verdict.confidence}
+def report_row(cell: Mapping) -> list:
+    """A report.json cell as a row under REPORT_COLUMNS; a null EFR is empty."""
+    efr = cell["efr"]
+    return [*(cell[column] for column in REPORT_COLUMNS[:-1]), "" if efr is None else repr(efr)]
 
 
 def _emit(
@@ -422,7 +427,9 @@ def _emit(
     filter_report: Dict,
     verdicts: VerdictStore,
 ) -> CampaignReport:
-    """Stage 5: write manifest.json, report.json and report.csv."""
+    """Stage 5: write manifest.json, report.json and report.csv. Seed and
+    transcript paths are recorded relative to the output directory, so a
+    moved campaign tree still replays."""
     out_dir = config.output_dir
     manifest_path = out_dir / "manifest.json"
     cases = sorted((case for case, _ in outcomes), key=lambda c: (c.seed_id, c.mr.label))
@@ -431,10 +438,10 @@ def _emit(
         "seeds": [
             {
                 "id": s.spec.seed_id,
-                "path": str(s.spec.path),
+                "path": os.path.relpath(s.spec.path, out_dir),
                 "category": s.spec.category.value,
                 "digest": s.digest,
-                "transcript": str(s.spec.transcript_path)
+                "transcript": os.path.relpath(s.spec.transcript_path, out_dir)
                 if s.spec.transcript_path
                 else None,
             }
@@ -456,12 +463,13 @@ def _emit(
         ],
         "workers": config.workers,
     }
-    _dump_json(manifest, manifest_path)
+    write_json(manifest, manifest_path)
 
     report_json_path = out_dir / "report.json"
+    rows = [cell.as_json() for cell in cells]
     report = {
         "version": __version__,
-        "cells": [cell.as_json() for cell in cells],
+        "cells": rows,
         "category_drift": [
             {
                 "mr": cell.mr,
@@ -475,27 +483,13 @@ def _emit(
         "seed_filter": filter_report,
         "manifest": manifest_path.name,
     }
-    _dump_json(report, report_json_path)
+    write_json(report, report_json_path)
 
     report_csv_path = out_dir / "report.csv"
     with open(report_csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["mr", "category", "backend", "generated", "misclassified", "unanswered", "efr"]
-        )
-        for cell in cells:
-            efr = cell.efr
-            writer.writerow(
-                [
-                    cell.mr,
-                    cell.category,
-                    cell.backend,
-                    cell.generated,
-                    cell.misclassified,
-                    cell.unanswered,
-                    "" if efr is None else repr(efr),
-                ]
-            )
+        writer.writerow(REPORT_COLUMNS)
+        writer.writerows(report_row(row) for row in rows)
 
     return CampaignReport(
         cells=cells,
@@ -526,56 +520,52 @@ def run_campaign(
 
 
 def _read_manifest(path, keys: Sequence[str]) -> dict:
-    """A campaign's manifest.json; unreadable JSON or a missing top-level
-    key is a ConfigError, the latter naming the key."""
-    path = Path(path)
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read manifest {path}: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise ConfigError(f"manifest {path} must hold a JSON object")
+    """A campaign's manifest.json; unreadable JSON, or a top-level key in
+    ``keys`` that is missing or of the wrong JSON type, is a ConfigError."""
+    manifest = read_json_object(path, "manifest")
     for key in keys:
         if key not in manifest:
             raise ConfigError(f"manifest {path} is missing {key!r}", field=key)
+        if not isinstance(manifest[key], _MANIFEST_TYPES[key]):
+            raise ConfigError(
+                f"manifest {path}: {key!r} must be a {_MANIFEST_TYPES[key].__name__}", field=key
+            )
     return manifest
 
 
 def replay_campaign(manifest_path, output_dir, workers: int = 4) -> CampaignReport:
-    """Re-run a recorded campaign offline: seeds are re-read, artifacts are
-    regenerated from the recorded relation descriptors, and every query is
-    answered by a fixture backend built from the recorded verdicts. The
-    resulting report must be byte-identical to the original."""
-    from .backends.fixture import FixtureBackend
-
-    manifest = _read_manifest(manifest_path, ("seeds", "mrs", "backends", "verdicts"))
-    backends = [
-        FixtureBackend(
-            {
-                digest: Verdict(entry["category"], entry["confidence"])
-                for digest, entry in manifest["verdicts"][name].items()
-                if entry is not None
-            },
-            name=name,
-        )
-        for name in manifest["backends"]
-    ]
-    config = CampaignConfig(
-        seeds=tuple(
-            SeedSpec(
-                seed_id=s["id"],
-                path=s["path"],
-                category=s["category"],
-                transcript_path=s.get("transcript"),
+    """Re-run a recorded campaign offline: seeds are re-read (relative paths
+    from the manifest's directory), artifacts are regenerated from the
+    recorded relation descriptors, and every query is answered by a fixture
+    backend loaded from the backend's recorded verdict table. The resulting
+    report must be byte-identical to the original; regenerated cases that
+    differ from the recorded ones are a CampaignError."""
+    manifest_path = Path(manifest_path)
+    manifest = _read_manifest(manifest_path, ("seeds", "mrs", "backends", "verdicts", "cases"))
+    tables = manifest["verdicts"]
+    backends = []
+    for name in manifest["backends"]:
+        if not (isinstance(name, str) and name in tables):
+            raise ConfigError(
+                f"manifest {manifest_path} has no verdict table for backend {name!r}",
+                field="verdicts",
             )
-            for s in manifest["seeds"]
-        ),
+        where = f"manifest {manifest_path} verdicts[{name!r}]"
+        backends.append(FixtureBackend(verdicts_from_json(tables[name], where), name=name))
+    config = CampaignConfig(
+        seeds=_read_seeds(manifest["seeds"], manifest_path.parent, (*_SEED_KEYS, "digest")),
         mrs=tuple(Perturbation.from_dict(m) for m in manifest["mrs"]),
-        backend_configs=({"kind": "fixture", "path": "unused"},),
+        backend_configs=(),
         output_dir=output_dir,
         workers=workers,
     )
-    return run_campaign(config, backends=backends)
+    report = run_campaign(config, backends=backends)
+    if _read_manifest(report.manifest, ("cases",))["cases"] != manifest["cases"]:
+        raise CampaignError(
+            f"replay of {manifest_path} diverged: its relations or seed audio no longer "
+            f"give the recorded cases (regenerated ones are in {report.manifest})"
+        )
+    return report
 
 
 def export_retraining_set(
@@ -594,9 +584,11 @@ def export_retraining_set(
     manifest = _read_manifest(manifest_path, ("cases", "verdicts"))
     missed = {
         digest
-        for answers in manifest["verdicts"].values()
-        for digest, verdict in answers.items()
-        if verdict is not None and verdict["category"] == Category.NON_TOXIC.value
+        for name, table in manifest["verdicts"].items()
+        for digest, verdict in verdicts_from_json(
+            table, f"manifest {manifest_path} verdicts[{name!r}]"
+        ).items()
+        if verdict is not None and not verdict.is_toxic
     }
 
     groups: Dict[Tuple[str, str], List[dict]] = {}
@@ -631,5 +623,5 @@ def export_retraining_set(
             )
     rows.sort(key=lambda r: (r["split"], r["label"], json.dumps(r["mr"], sort_keys=True), r["artifact"]))
     if output_path is not None:
-        _dump_json(rows, Path(output_path))
+        write_json(rows, Path(output_path))
     return rows

@@ -22,9 +22,11 @@ from typing import Iterable, List, Optional
 from . import __version__
 from .audio import WavFormatError, content_digest, read_wav, write_wav
 from .campaign import (
+    REPORT_COLUMNS,
     CampaignConfig,
     export_retraining_set,
     replay_campaign,
+    report_row,
     run_campaign,
 )
 from .errors import (
@@ -220,8 +222,9 @@ def _cmd_campaign(args) -> int:
     if args.workers is not None and args.workers < 1:
         raise _UsageError("--workers must be >= 1")
     if args.replay:
+        # --replay reuses the config positional as the replay output directory
         report = replay_campaign(
-            args.replay, output_dir=_replay_dir(args), workers=args.workers or 4
+            args.replay, output_dir=Path(args.config), workers=args.workers or 4
         )
     else:
         config = CampaignConfig.from_file(args.config)
@@ -254,11 +257,6 @@ def _cmd_campaign(args) -> int:
         print("every seed was filtered out", file=sys.stderr)
         return EXIT_NO_SEEDS
     return EXIT_OK
-
-
-def _replay_dir(args) -> Path:
-    # --replay reuses the config positional as the replay output directory
-    return Path(args.config)
 
 
 def _print_summary(report) -> None:
@@ -330,14 +328,9 @@ def _cmd_report(args) -> int:
         raise CampaignError(f"cannot read report {args.report}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"report is not valid JSON: {exc}") from exc
-    print("mr\tcategory\tbackend\tgenerated\tmisclassified\tunanswered\tefr")
+    print("\t".join(REPORT_COLUMNS))
     for cell in payload.get("cells", []):
-        efr = cell["efr"]
-        print(
-            f"{cell['mr']}\t{cell['category']}\t{cell['backend']}\t"
-            f"{cell['generated']}\t{cell['misclassified']}\t{cell['unanswered']}\t"
-            f"{'' if efr is None else efr!r}"
-        )
+        print("\t".join(map(str, report_row(cell))))
     print(f"version {payload.get('version', '?')}, "
           f"{len(payload.get('cells', []))} cells", file=sys.stderr)
     return EXIT_OK

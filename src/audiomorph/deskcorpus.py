@@ -11,7 +11,6 @@ perturbation, spotting, aggregation, replay.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Dict, List, Tuple
 
@@ -19,6 +18,7 @@ import numpy as np
 
 from .audio import DEFAULT_SAMPLE_RATE, AudioBuffer, write_wav
 from .backends.spotter import calibrate_threshold, extract_mfcc, load_templates
+from .errors import write_json
 
 RATE = DEFAULT_SAMPLE_RATE
 TEMPLATE_DURATION_S = 0.4
@@ -167,10 +167,6 @@ def build_corpus(root, base_seed: int = 100) -> Path:
         "workers": 4,
     }
     config_path = root / "campaign.json"
-    config_path.write_text(
-        json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    (root / "calibration.json").write_text(
-        json.dumps({"accuracy": accuracy}, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(config, config_path)
+    write_json({"accuracy": accuracy}, root / "calibration.json")
     return config_path

@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and the unknown-key check
+"""Exception types shared across the package, the JSON file reader and
+writer that every recorded format goes through, and the unknown-key check
 that config readers share."""
 
+import json
+from pathlib import Path
 from typing import Mapping, Sequence
 
 
@@ -34,6 +37,23 @@ class ConfigError(AudiomorphError):
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)
         self.field = field
+
+
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in the file at ``path``; an unreadable file, invalid
+    JSON or a value that is not an object is a ConfigError naming ``what``."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{what} {path} must hold a JSON object")
+    return payload
+
+
+def write_json(obj, path) -> None:
+    """Write ``obj`` as JSON indented by 2 with sorted keys and a final newline."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def reject_unknown_keys(entry: Mapping, known: Sequence[str], where: str) -> None:

@@ -103,8 +103,8 @@ class Perturbation:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "Perturbation":
-        if "kind" not in payload:
-            raise ParameterError("perturbation descriptor needs a 'kind'")
+        if not isinstance(payload, Mapping) or "kind" not in payload:
+            raise ParameterError("perturbation descriptor must be an object with a 'kind'")
         return cls(payload["kind"], payload.get("params", {}))
 
 

@@ -49,6 +49,7 @@ RATE = 16000
 class TestVerdict:
     def test_category_parse(self):
         assert Category.parse("porn") is Category.PORN
+        assert Category.parse(Category.PORN) is Category.PORN
         with pytest.raises(ConfigError):
             Category.parse("bogus")
 
@@ -91,6 +92,15 @@ class TestFixtureBackend:
         path.write_text(json.dumps({"ab": {"category": "nope"}}), encoding="utf-8")
         with pytest.raises(ConfigError):
             FixtureBackend.from_file(path)
+
+    @pytest.mark.parametrize("confidence", ["abc", 2, -0.1, math.nan, [0.5]])
+    def test_bad_confidence(self, tmp_path, confidence):
+        path = tmp_path / "fx.json"
+        entry = {"category": "spam", "confidence": confidence}
+        path.write_text(json.dumps({"ab": entry}), encoding="utf-8")
+        with pytest.raises(ConfigError, match="confidence") as err:
+            FixtureBackend.from_file(path)
+        assert err.value.field == "confidence"
 
     def test_deterministic_across_instances(self, tmp_path, tone_440):
         path = tmp_path / "fx.json"
@@ -648,6 +658,25 @@ class TestBuildBackend:
         with pytest.raises(ConfigError, match=field) as err:
             build_backend(config)
         assert err.value.field == field
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("method", 5), ("headers", "x"), ("body", [1]), ("endpoint", 3), ("name", 5),
+         ("rate_limit_per_s", 0), ("rate_limit_per_s", -1.0), ("rate_limit_per_s", math.nan)],
+    )
+    def test_http_rejects_wrong_type_or_rate(self, field, value):
+        config = {"kind": "http", "endpoint": "http://x/y", "response_mapping": _mapping()}
+        with pytest.raises(ConfigError, match=field) as err:
+            build_backend({**config, field: value})
+        assert err.value.field == field
+
+    def test_http_accepts_null_headers_and_body(self):
+        # null is their default, as when the keys are left out
+        backend = build_backend(
+            {"kind": "http", "endpoint": "http://x/y", "response_mapping": _mapping(),
+             "headers": None, "body": None}
+        )
+        assert backend._headers == {} and backend._body == {}
 
     def test_http_kind(self):
         backend = build_backend(

@@ -5,12 +5,14 @@ import dataclasses
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from audiomorph.audio import content_digest, read_wav, write_wav
 from audiomorph.backends import Category, ModerationBackend, Verdict
+from audiomorph.backends.fixture import FixtureBackend
 from audiomorph.campaign import (
     CampaignConfig,
     SeedSpec,
@@ -26,6 +28,7 @@ from audiomorph.errors import (
     CampaignError,
     ConfigError,
     DomainError,
+    MissingFixtureError,
     ParameterError,
 )
 from audiomorph.perturb import Perturbation
@@ -228,6 +231,11 @@ class TestConfig:
             CampaignConfig.from_dict(config)
         assert err.value.field == "workers"
 
+    def test_empty_backends_rejected(self):
+        with pytest.raises(ConfigError, match="nonempty 'backends'") as err:
+            CampaignConfig.from_dict({**self._minimal(), "backends": []})
+        assert err.value.field == "backends"
+
     def test_from_file_round_trip(self, tmp_path):
         spec, _ = _make_seed(tmp_path, "a", 300.0, "insult")
         cfg = {
@@ -334,7 +342,8 @@ class TestRunCampaign:
         manifest = json.loads(report.manifest.read_text())
         seeds_by_id = {s["id"]: s for s in manifest["seeds"]}
         for case in manifest["cases"]:
-            seed_audio = read_wav(seeds_by_id[case["seed_id"]]["path"])
+            # seed paths are recorded relative to the manifest's directory
+            seed_audio = read_wav(report.manifest.parent / seeds_by_id[case["seed_id"]]["path"])
             again = Perturbation.from_dict(case["mr"]).apply(seed_audio)
             assert content_digest(again) == case["digest"]
 
@@ -415,6 +424,20 @@ class TestReplay:
         loud = [c for c in replayed.cells if c.mr == "gain(db=6.0)"]
         assert all(c.unanswered == c.generated for c in loud)
 
+    def test_replay_from_another_working_directory(self, tmp_path, monkeypatch):
+        config, specs, buffers = _campaign_fixture(tmp_path, n_seeds=2)
+        script = {content_digest(buffers[s.seed_id]): s.category for s in specs}
+        # paths relative to the working directory, as a config file in it gives
+        monkeypatch.chdir(tmp_path)
+        seeds = tuple(dataclasses.replace(s, path=Path(s.path.name)) for s in config.seeds)
+        config = dataclasses.replace(config, seeds=seeds, output_dir=Path("out"))
+        original = run_campaign(config, backends=[ScriptedBackend("b", script)])
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        replayed = replay_campaign(tmp_path / "out" / "manifest.json", "replay")
+        assert replayed.report_json.read_bytes() == (tmp_path / original.report_json).read_bytes()
+        assert replayed.report_csv.read_bytes() == (tmp_path / original.report_csv).read_bytes()
+
 
 class TestQueryOnce:
     def _script(self, specs, buffers):
@@ -475,6 +498,23 @@ class TestQueryOnce:
         assert len(recorded) == 4
         assert all(recorded[d] is None for d in failing)
         assert all(recorded[d]["category"] == c.value for d, c in script.items())
+
+    def test_manifest_verdict_table_is_a_fixture_file(self, tmp_path):
+        config, specs, buffers = _campaign_fixture(tmp_path, n_seeds=2)
+        from audiomorph.perturb import basic
+
+        script = {content_digest(buffers[s.seed_id]): s.category for s in specs}
+        failing = {content_digest(basic.gain(buffers[s.seed_id], 6.0)) for s in specs}
+        report = run_campaign(config, backends=[ScriptedBackend("b", script, failing)])
+        table = json.loads(report.manifest.read_text())["verdicts"]["b"]
+        path = tmp_path / "fixtures.json"
+        path.write_text(json.dumps(table), encoding="utf-8")
+        fixture = FixtureBackend.from_file(path, name="b")
+        for spec in specs:
+            seed = buffers[spec.seed_id]
+            assert fixture.moderate(seed) == Verdict(spec.category, 0.75)
+            with pytest.raises(MissingFixtureError, match="recorded no answer"):
+                fixture.moderate(basic.gain(seed, 6.0))
 
 
 class TestExportRetrainingSet:

@@ -1,6 +1,7 @@
 """Command line surface: exit codes, stdout machine-parseability, flag
 validation, and the wiring of every subcommand."""
 
+import csv
 import inspect
 import json
 import os
@@ -403,6 +404,70 @@ class TestCampaign:
         assert code == 1
         assert "config error:" in err and "'verdicts'" in err
 
+    def _edited_manifest(self, capsys, tmp_path, edit):
+        """Run the tiny campaign, apply ``edit`` to its manifest, and return
+        the manifest path."""
+        assert run_cli(capsys, "campaign", str(_write_campaign(tmp_path)))[0] == 0
+        manifest_path = tmp_path / "out" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        edit(manifest, next(iter(manifest["verdicts"]["fx"])))
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        return manifest_path
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda m, d: m["verdicts"]["fx"][d].pop("category"), "'category'"),
+            (lambda m, d: m["verdicts"]["fx"].update({d: "insult"}), "'category'"),
+            (lambda m, d: m["verdicts"]["fx"][d].update(confidence="abc"), "confidence"),
+            (lambda m, d: m["backends"].append("ghost"), "'ghost'"),
+            (lambda m, d: m.update(verdicts=[]), "'verdicts'"),
+            (lambda m, d: m["seeds"].__setitem__(0, "seed0.wav"), "seed #0"),
+            (lambda m, d: m["seeds"][0].pop("path"), "'path'"),
+        ],
+    )
+    def test_replay_of_malformed_manifest_is_config_error(self, capsys, tmp_path, edit, named):
+        manifest_path = self._edited_manifest(capsys, tmp_path, edit)
+        code, _, err = run_cli(
+            capsys, "campaign", str(tmp_path / "replayed"), "--replay", str(manifest_path)
+        )
+        assert code == 1
+        assert "config error:" in err and named in err
+
+    def test_replay_of_non_object_relation_is_parameter_error(self, capsys, tmp_path):
+        manifest_path = self._edited_manifest(
+            capsys, tmp_path, lambda m, d: m["mrs"].__setitem__(0, 5)
+        )
+        code, _, err = run_cli(
+            capsys, "campaign", str(tmp_path / "replayed"), "--replay", str(manifest_path)
+        )
+        assert code == 1
+        assert "parameter error:" in err and "'kind'" in err
+
+    def test_replay_of_verdicts_without_confidence(self, capsys, tmp_path):
+        # confidence is optional in a verdict table, as in any fixture file
+        manifest_path = self._edited_manifest(
+            capsys, tmp_path,
+            lambda m, d: [entry.pop("confidence") for entry in m["verdicts"]["fx"].values()],
+        )
+        code, _, _ = run_cli(
+            capsys, "campaign", str(tmp_path / "replayed"), "--replay", str(manifest_path)
+        )
+        assert code == 0
+        original = (tmp_path / "out" / "report.json").read_bytes()
+        assert (tmp_path / "replayed" / "report.json").read_bytes() == original
+
+    def test_replay_of_edited_relation_diverges(self, capsys, tmp_path):
+        # the recorded cases were made at db=0.0; regenerated at 0.5 they differ
+        manifest_path = self._edited_manifest(
+            capsys, tmp_path, lambda m, d: m["mrs"][0]["params"].update(db=0.5)
+        )
+        code, _, err = run_cli(
+            capsys, "campaign", str(tmp_path / "replayed"), "--replay", str(manifest_path)
+        )
+        assert code == 2
+        assert "diverged" in err
+
     def test_export_split(self, capsys, tmp_path):
         config = _write_campaign(tmp_path, categories=("spam", "spam", "spam"))
         # the fixture answers the 6 dB louder clips non_toxic: they are the
@@ -510,6 +575,9 @@ class TestReport:
         ]
         assert len(lines) == 3  # header + two cells
         assert __version__ in err
+        # the same columns and rows as report.csv
+        with open(tmp_path / "out" / "report.csv", newline="") as fh:
+            assert [line.split("\t") for line in lines] == list(csv.reader(fh))
 
     def test_missing_report(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "report", str(tmp_path / "nope.json"))

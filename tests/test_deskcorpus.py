@@ -2,6 +2,8 @@
 offline campaign wired to the local spotter."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -121,3 +123,17 @@ class TestOfflineCampaign:
         for case in manifest["cases"][:8]:
             buf = read_wav(report.output_dir / case["artifact"])
             assert content_digest(buf) == case["digest"]
+
+
+def test_checked_in_desk_replay_reproduces_its_reports(tmp_path):
+    """tests/data/desk_replay holds a campaign recorded on the desk corpus at
+    base seed 100. Its manifest, moved into a freshly built corpus, replays
+    to the recorded report bytes: seed paths are relative to the manifest,
+    and the seeds and perturbations are bit-reproducible."""
+    recorded = Path(__file__).parent / "data" / "desk_replay"
+    deskcorpus.build_corpus(tmp_path, base_seed=100)
+    (tmp_path / "out").mkdir()
+    shutil.copy(recorded / "manifest.json", tmp_path / "out" / "manifest.json")
+    replayed = replay_campaign(tmp_path / "out" / "manifest.json", tmp_path / "replay")
+    assert replayed.report_json.read_bytes() == (recorded / "report.json").read_bytes()
+    assert replayed.report_csv.read_bytes() == (recorded / "report.csv").read_bytes()
