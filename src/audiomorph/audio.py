@@ -231,11 +231,9 @@ def wav_bytes(buffer: AudioBuffer) -> bytes:
     return header + payload
 
 
-def write_wav(buffer: AudioBuffer, path, bit_depth: int = 16) -> None:
+def write_wav(buffer: AudioBuffer, path) -> None:
     """Write a buffer as 16-bit PCM WAV; the file round-trips through
     read_wav with at most one quantization step of error."""
-    if bit_depth != 16:
-        raise ParameterError(f"only 16-bit output is supported, got {bit_depth}")
     with open(path, "wb") as fh:
         fh.write(wav_bytes(buffer))
 

@@ -25,7 +25,7 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +53,8 @@ from .perturb.linguistic import Transcript, benign_discontinuity_audio, load_tra
 # failures of these kinds mark a single case unanswered; anything else is a bug
 _CASE_ERRORS = (BackendUnavailableError, MissingFixtureError, ResponseMappingError)
 
+# the worker pool size when a config, a replay or the probe names none
+DEFAULT_WORKERS = 4
 _CONFIG_KEYS = ("seeds", "mrs", "backends", "output_dir", "workers")
 _SEED_KEYS = ("id", "path", "category", "transcript")
 # the JSON type of each top-level manifest key that is read back
@@ -96,6 +98,14 @@ class SeedSpec:
             object.__setattr__(self, "transcript_path", Path(self.transcript_path))
 
 
+def _resolve(value, base_dir: Path, field: str, where: str) -> Path:
+    """A path string from a config or manifest, resolved against base_dir
+    (an absolute one stays as it is); any other value is a ConfigError."""
+    if not isinstance(value, (str, os.PathLike)):
+        raise ConfigError(f"{where} {field!r} must be a path string, got {value!r}", field=field)
+    return base_dir / value
+
+
 def _read_seeds(entries, base_dir: Path, known: Sequence[str] = _SEED_KEYS) -> Tuple[SeedSpec, ...]:
     """The seed entries of a campaign config or manifest; relative paths
     resolve against base_dir, and an entry key outside ``known`` is a
@@ -114,9 +124,11 @@ def _read_seeds(entries, base_dir: Path, known: Sequence[str] = _SEED_KEYS) -> T
         seeds.append(
             SeedSpec(
                 seed_id=str(entry["id"]),
-                path=base_dir / entry["path"],
+                path=_resolve(entry["path"], base_dir, "path", f"seed #{i}"),
                 category=entry["category"],
-                transcript_path=base_dir / transcript if transcript else None,
+                # an empty transcript, like a missing one, means none
+                transcript_path=None if transcript in (None, "")
+                else _resolve(transcript, base_dir, "transcript", f"seed #{i}"),
             )
         )
     return tuple(seeds)
@@ -128,7 +140,7 @@ class CampaignConfig:
     mrs: Tuple[Perturbation, ...]
     backend_configs: Tuple[Mapping, ...]
     output_dir: Path
-    workers: int = 4
+    workers: int = DEFAULT_WORKERS
 
     def __post_init__(self):
         if not self.seeds:
@@ -153,26 +165,30 @@ class CampaignConfig:
         for name in ("seeds", "mrs", "backends", "output_dir"):
             if name not in d:
                 raise ConfigError(f"config is missing '{name}'", field=name)
+        for name in ("mrs", "backends"):
+            if not isinstance(d[name], list):
+                raise ConfigError(f"{name!r} must be a list", field=name)
         # replay passes backend objects instead, so only a config file must list some
         if not d["backends"]:
             raise ConfigError("config needs a nonempty 'backends' list", field="backends")
-        mrs = tuple(Perturbation.from_dict(m) for m in d["mrs"])
         backends = []
-        for b in d["backends"]:
+        for i, b in enumerate(d["backends"]):
+            if not isinstance(b, dict):
+                raise ConfigError(
+                    f"'backends' entry #{i} must be a JSON object, got {b!r}", field="backends"
+                )
             b = dict(b)
             # file-backed backends get their paths pinned to the config dir
             for key in ("path", "templates_dir"):
-                if key in b and not os.path.isabs(str(b[key])):
-                    b[key] = str(base_dir / b[key])
+                if key in b:
+                    b[key] = str(_resolve(b[key], base_dir, key, f"backend #{i}"))
             backends.append(b)
-        out = d["output_dir"]
-        out_path = Path(out) if os.path.isabs(str(out)) else base_dir / out
         return cls(
             seeds=_read_seeds(d["seeds"], base_dir),
-            mrs=mrs,
+            mrs=tuple(Perturbation.from_dict(m) for m in d["mrs"]),
             backend_configs=tuple(backends),
-            output_dir=out_path,
-            workers=d.get("workers", 4),
+            output_dir=_resolve(d["output_dir"], base_dir, "output_dir", "config"),
+            workers=d.get("workers", DEFAULT_WORKERS),
         )
 
     @classmethod
@@ -309,18 +325,15 @@ def _load_seeds(config: CampaignConfig) -> List[LoadedSeed]:
 
 
 def filter_seeds(
-    seeds: Sequence[LoadedSeed],
-    backends: Union[Sequence[ModerationBackend], VerdictStore],
-    workers: int = 4,
+    seeds: Sequence[LoadedSeed], verdicts: VerdictStore, workers: int = DEFAULT_WORKERS
 ) -> Tuple[List[LoadedSeed], Dict]:
     """Stage 2, the probe: drop seeds every backend calls non_toxic. A seed
     stays when at least one backend gives it any toxic label; per-backend
     tallies record how often each backend flagged a seed at all and how
-    often it matched the declared category. A campaign passes its verdict
-    store, so later stages reuse the seed verdicts."""
+    often it matched the declared category. The seed verdicts stay in the
+    campaign's store, so later stages reuse them."""
     if not seeds:
         raise CampaignError("no seeds to filter")
-    verdicts = backends if isinstance(backends, VerdictStore) else VerdictStore(backends)
     if not verdicts.backends:
         raise CampaignError("no backends configured")
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -533,7 +546,7 @@ def _read_manifest(path, keys: Sequence[str]) -> dict:
     return manifest
 
 
-def replay_campaign(manifest_path, output_dir, workers: int = 4) -> CampaignReport:
+def replay_campaign(manifest_path, output_dir, workers: int = DEFAULT_WORKERS) -> CampaignReport:
     """Re-run a recorded campaign offline: seeds are re-read (relative paths
     from the manifest's directory), artifacts are regenerated from the
     recorded relation descriptors, and every query is answered by a fixture

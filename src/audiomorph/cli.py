@@ -1,8 +1,9 @@
 """Command line front end.
 
-One binary, five subcommands: perturb a single file, run a campaign from a
-declarative config, calibrate the local keyword spotter, rank keywords for
-the discontinuity relation, and re-render a finished report. Machine
+One binary, six subcommands: perturb a single file, build the offline desk
+corpus, run a campaign from a declarative config, calibrate the local
+keyword spotter, rank keywords for the discontinuity relation, and
+re-render a finished report. Machine
 output (JSON or TSV) goes to stdout; anything meant for humans goes to
 stderr. Exit codes: 0 success, 1 usage or parameter error, 2 runtime
 failure, 3 campaign filtered every seed out.
@@ -22,6 +23,7 @@ from typing import Iterable, List, Optional
 from . import __version__
 from .audio import WavFormatError, content_digest, read_wav, write_wav
 from .campaign import (
+    DEFAULT_WORKERS,
     REPORT_COLUMNS,
     CampaignConfig,
     export_retraining_set,
@@ -109,6 +111,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--lexicon", default=None, help="homophone lexicon (TSV)")
     p.add_argument("input")
     p.add_argument("output")
+
+    d = sub.add_parser("desk", help="build the offline desk corpus and its campaign.json")
+    d.add_argument("root", help="directory for templates/, seeds/ and campaign.json")
 
     c = sub.add_parser("campaign", help="run a campaign from a JSON config")
     c.add_argument(
@@ -218,13 +223,23 @@ def _write_transcript(t: Transcript, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _cmd_desk(args) -> int:
+    from .deskcorpus import build_corpus
+
+    # never rebuild over a config the user may have edited
+    if (Path(args.root) / "campaign.json").exists():
+        raise ConfigError(f"{args.root} already holds campaign.json; not rebuilding")
+    print(json.dumps({"config": str(build_corpus(args.root))}))
+    return EXIT_OK
+
+
 def _cmd_campaign(args) -> int:
     if args.workers is not None and args.workers < 1:
         raise _UsageError("--workers must be >= 1")
     if args.replay:
         # --replay reuses the config positional as the replay output directory
         report = replay_campaign(
-            args.replay, output_dir=Path(args.config), workers=args.workers or 4
+            args.replay, output_dir=Path(args.config), workers=args.workers or DEFAULT_WORKERS
         )
     else:
         config = CampaignConfig.from_file(args.config)
@@ -328,16 +343,21 @@ def _cmd_report(args) -> int:
         raise CampaignError(f"cannot read report {args.report}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"report is not valid JSON: {exc}") from exc
+    cells = payload.get("cells") if isinstance(payload, dict) else None
+    if not isinstance(cells, list) or not all(
+        isinstance(cell, dict) and cell.keys() >= set(REPORT_COLUMNS) for cell in cells
+    ):
+        raise ConfigError(f"report {args.report} needs a 'cells' list of report cells", field="cells")
     print("\t".join(REPORT_COLUMNS))
-    for cell in payload.get("cells", []):
+    for cell in cells:
         print("\t".join(map(str, report_row(cell))))
-    print(f"version {payload.get('version', '?')}, "
-          f"{len(payload.get('cells', []))} cells", file=sys.stderr)
+    print(f"version {payload.get('version', '?')}, {len(cells)} cells", file=sys.stderr)
     return EXIT_OK
 
 
 _COMMANDS = {
     "perturb": _cmd_perturb,
+    "desk": _cmd_desk,
     "campaign": _cmd_campaign,
     "keywords": _cmd_keywords,
     "calibrate": _cmd_calibrate,

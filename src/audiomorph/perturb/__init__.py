@@ -64,6 +64,8 @@ class Perturbation:
         if kind not in OPS:
             raise ParameterError(f"unknown perturbation kind {self.kind!r}")
         object.__setattr__(self, "kind", kind)
+        if not isinstance(self.params, Mapping):
+            raise ParameterError(f"{kind}: 'params' must be an object, got {self.params!r}")
         object.__setattr__(self, "params", dict(self.params))
         # parameter names fail here, at config load; values fail on apply
         placeholders = {"transcript": None} if self.needs_transcript else {}

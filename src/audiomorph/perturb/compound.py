@@ -148,30 +148,16 @@ def tremolo(x: AudioBuffer, rate_hz: float, depth: float) -> AudioBuffer:
     return AudioBuffer(x.samples * envelope, x.sample_rate)
 
 
-#: default harmonic kernel; tap at 2 samples delay scaled by drive
-_HARMONIC_KERNEL = (1.0, 0.0, 0.2)
-
-
-def distort(
-    x: AudioBuffer,
-    clip_threshold: float,
-    drive: float,
-    kernel=None,
-) -> AudioBuffer:
+def distort(x: AudioBuffer, clip_threshold: float, drive: float) -> AudioBuffer:
     """Three-stage distortion: hard clip at +-clip_threshold, convolve
-    with a short harmonic kernel ([1, 0, 0.2*drive] unless overridden),
+    with the harmonic kernel [1, 0, 0.2*drive] (a tap 2 samples late),
     then apply a linear 1 -> (1+drive) ramp and re-clamp. Length is
     preserved (causal FIR, tail truncated)."""
     if not 0.0 < clip_threshold <= 1.0:
         raise ParameterError(f"clip threshold must be in (0, 1], got {clip_threshold}")
     if not drive >= 0.0:
         raise ParameterError(f"drive must be >= 0, got {drive}")
-    if kernel is None:
-        taps = np.array([1.0, 0.0, _HARMONIC_KERNEL[2] * drive])
-    else:
-        taps = np.asarray(kernel, dtype=np.float64)
-        if taps.ndim != 1 or taps.size == 0:
-            raise ParameterError("kernel must be a nonempty 1-D sequence")
+    taps = np.array([1.0, 0.0, 0.2 * drive])
     clipped = np.clip(x.samples, -clip_threshold, clip_threshold)
     n = x.frames
     convolved = np.stack([np.convolve(ch, taps)[:n] for ch in clipped])

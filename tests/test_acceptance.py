@@ -34,6 +34,7 @@ from audiomorph.backends.http import HttpBackend
 from audiomorph.campaign import (
     CampaignConfig,
     SeedSpec,
+    VerdictStore,
     filter_seeds,
     load_seed,
     replay_campaign,
@@ -139,7 +140,7 @@ def test_criterion_2_seed_filter_matches_exclusion_rule(tmp_path):
         script_b[loaded[-1].digest] = label_b
 
     retained, report = filter_seeds(
-        loaded, [DigestBackend("a", script_a), DigestBackend("b", script_b)]
+        loaded, VerdictStore([DigestBackend("a", script_a), DigestBackend("b", script_b)])
     )
     got = sorted(s.spec.seed_id for s in retained)
     # the rule: excluded exactly when every backend answered non_toxic

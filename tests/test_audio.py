@@ -99,10 +99,6 @@ class TestWavIO:
         assert quantize_int16(np.array([1.0]))[0] == 32767
         assert quantize_int16(np.array([-1.0]))[0] == -32768
 
-    def test_only_16bit_output(self, tmp_path, tone_440):
-        with pytest.raises(ParameterError):
-            write_wav(tone_440, tmp_path / "x.wav", bit_depth=24)
-
     def test_read_8bit(self, tmp_path):
         # unsigned 8-bit: 128 is zero, 255 is (255-128)/128
         payload = bytes([128, 255, 0])

@@ -16,6 +16,7 @@ from audiomorph.backends.fixture import FixtureBackend
 from audiomorph.campaign import (
     CampaignConfig,
     SeedSpec,
+    VerdictStore,
     compute_efr,
     export_retraining_set,
     filter_seeds,
@@ -130,7 +131,7 @@ class TestFilterSeeds:
             },
         )
         b2 = ScriptedBackend("b2", {digests["a"]: Category.INSULT, digests["b"]: Category.PORN})
-        retained, report = filter_seeds(seeds, [b1, b2])
+        retained, report = filter_seeds(seeds, VerdictStore([b1, b2]))
 
         # excluded exactly when every backend answered non_toxic
         assert sorted(s.spec.seed_id for s in retained) == ["a", "b", "c"]
@@ -153,14 +154,14 @@ class TestFilterSeeds:
         seeds = [load_seed(spec)]
         dead = ScriptedBackend("dead", failing={content_digest(buf)})
         with pytest.raises(CampaignError):
-            filter_seeds(seeds, [dead])
+            filter_seeds(seeds, VerdictStore([dead]))
 
     def test_one_live_backend_suffices(self, tmp_path):
         spec, buf = _make_seed(tmp_path, "a", 300.0, "insult")
         seeds = [load_seed(spec)]
         dead = ScriptedBackend("dead", failing={content_digest(buf)})
         live = ScriptedBackend("live", {content_digest(buf): Category.INSULT})
-        retained, report = filter_seeds(seeds, [dead, live])
+        retained, report = filter_seeds(seeds, VerdictStore([dead, live]))
         assert len(retained) == 1
         assert report["per_backend"]["dead"]["answered"] == 0
 
@@ -194,6 +195,10 @@ class TestConfig:
     def test_unknown_mr_parameter_rejected(self):
         with pytest.raises(ParameterError):
             Perturbation("gain", {"decibels": 6.0})
+
+    def test_non_object_mr_params_rejected(self):
+        with pytest.raises(ParameterError, match="'params' must be an object"):
+            Perturbation.from_dict({"kind": "gain", "params": 5})
 
     def test_discontinuity_without_transcript_raises(self):
         mr = Perturbation("discontinuity", {"targets": ["x"], "gap_s": 0.1, "repeats": 2})
@@ -230,6 +235,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match="workers must be a positive integer") as err:
             CampaignConfig.from_dict(config)
         assert err.value.field == "workers"
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda c: c.update(backends=["spotter"]), "backends"),
+            (lambda c: c.update(backends={"kind": "fixture"}), "backends"),
+            (lambda c: c.update(mrs=5), "mrs"),
+            (lambda c: c.update(output_dir=5), "output_dir"),
+            (lambda c: c["seeds"][0].update(path=5), "path"),
+            (lambda c: c["seeds"][0].update(transcript=3), "transcript"),
+            (lambda c: c["backends"][0].update(path=5), "path"),
+        ],
+    )
+    def test_wrongly_shaped_field_rejected(self, edit, field):
+        config = self._minimal()
+        edit(config)
+        with pytest.raises(ConfigError, match=repr(field)) as err:
+            CampaignConfig.from_dict(config)
+        assert err.value.field == field
 
     def test_empty_backends_rejected(self):
         with pytest.raises(ConfigError, match="nonempty 'backends'") as err:

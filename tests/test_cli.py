@@ -424,6 +424,9 @@ class TestCampaign:
             (lambda m, d: m.update(verdicts=[]), "'verdicts'"),
             (lambda m, d: m["seeds"].__setitem__(0, "seed0.wav"), "seed #0"),
             (lambda m, d: m["seeds"][0].pop("path"), "'path'"),
+            pytest.param(
+                lambda m, d: m["seeds"][0].update(path=5), "'path'", id="non-string-path"
+            ),
         ],
     )
     def test_replay_of_malformed_manifest_is_config_error(self, capsys, tmp_path, edit, named):
@@ -488,6 +491,39 @@ class TestCampaign:
         rows = json.loads((tmp_path / "out" / "retraining.json").read_text())
         assert {r["split"] for r in rows} == {"test", "train"}
         assert all(r["mr"] == louder for r in rows)
+
+
+class TestDesk:
+    def test_quick_start(self, capsys, tmp_path):
+        # README's quick start: build the corpus, run it with a retraining
+        # export, replay it, and compare the reports byte for byte
+        root = tmp_path / "demo"
+        code, stdout, _ = run_cli(capsys, "desk", str(root))
+        assert code == 0
+        config = root / "campaign.json"
+        assert json.loads(stdout) == {"config": str(config)}
+        assert run_cli(capsys, "campaign", str(config), "--export-split", "0.2")[0] == 0
+        out = root / "out"
+        assert (out / "retraining.json").exists()
+        code, _, _ = run_cli(
+            capsys, "campaign", str(root / "replay"), "--replay", str(out / "manifest.json")
+        )
+        assert code == 0
+        for name in ("report.json", "report.csv"):
+            assert (root / "replay" / name).read_bytes() == (out / name).read_bytes()
+        # a second desk on the same root refuses and leaves the config alone
+        before = config.read_bytes()
+        assert run_cli(capsys, "desk", str(root))[0] == 1
+        assert config.read_bytes() == before
+
+    def test_never_rebuilds_over_a_config(self, capsys, tmp_path):
+        config = tmp_path / "campaign.json"
+        config.write_text('{"edited": true}\n', encoding="utf-8")
+        code, stdout, err = run_cli(capsys, "desk", str(tmp_path))
+        assert code == 1
+        assert stdout == "" and "campaign.json" in err
+        assert config.read_text(encoding="utf-8") == '{"edited": true}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["campaign.json"]
 
 
 class TestKeywords:
@@ -582,3 +618,11 @@ class TestReport:
     def test_missing_report(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "report", str(tmp_path / "nope.json"))
         assert code == 2
+
+    @pytest.mark.parametrize("payload", [[1], {"version": "x", "cases": []}, {"cells": [1]}])
+    def test_malformed_report_is_config_error(self, capsys, tmp_path, payload):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, stdout, err = run_cli(capsys, "report", str(path))
+        assert code == 1
+        assert stdout == "" and "config error:" in err and "'cells'" in err

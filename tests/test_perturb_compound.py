@@ -160,10 +160,6 @@ class TestDistort:
         out = compound.distort(tone_440, clip_threshold=1.0, drive=0.0)
         assert np.array_equal(out.samples, tone_440.samples)
 
-    def test_custom_kernel(self, tone_440):
-        out = compound.distort(tone_440, 1.0, 0.0, kernel=[0.5])
-        assert np.allclose(out.samples, tone_440.samples * 0.5)
-
     def test_ramp_raises_tail(self):
         buf = AudioBuffer(np.full(RATE, 0.25), RATE)
         out = compound.distort(buf, clip_threshold=1.0, drive=1.0)
