@@ -5,9 +5,10 @@ when some sliding window of its features is within a calibrated DTW
 distance of some template. Pure after load, so campaigns can drive it
 offline and deterministically.
 
-The sweep over (template, window) pairs is batched: ``_sweep`` stacks the
-clip's windows and makes one ``dtw_distance`` call per group of
-equal-length templates, and ``dtw_distance`` fills the DP tables of many
+The sweep over (template, window) pairs is batched: ``_sweep`` makes one
+windowed ``dtw_distance`` call per group of equal-length templates, which
+computes each (clip frame, template frame) distance once, however many
+overlapping windows share that frame, and then fills the DP tables of many
 pairs at once, one anti-diagonal at a time. Two tie-break rules fix the
 answer exactly: inside the DP, among minimum-cost alignments the shortest
 path wins; across pairs, the first in (template, start) order wins, so a
@@ -41,8 +42,9 @@ N_COEFFICIENTS = 13
 _LOG_FLOOR = 1e-30
 # dtw_distance's temporaries stay this small (unless one pair needs more),
 # however many windows a long clip has: the wavefront runs over blocks of at
-# most _BLOCK_CELLS DP cells (2 MB of complex steps), and each block forms
-# its (pairs, n, m, d) difference array _DIFF_VALUES values (0.5 MB) at a time
+# most _BLOCK_CELLS DP cells (2 MB of complex steps), and frame distances
+# are formed from difference arrays of at most _DIFF_VALUES values (0.5 MB)
+# unless one frame against all of m frames needs more
 _BLOCK_CELLS = 1 << 17
 _DIFF_VALUES = 1 << 16
 
@@ -140,7 +142,7 @@ def _as_matrix(seq) -> np.ndarray:
     return data
 
 
-def dtw_distance(a, b):
+def dtw_distance(a, b, *, windows=None):
     """Path-length-normalized dynamic time warping under Euclidean frame
     distance. Among minimum-cost monotone alignments the shortest path
     is taken; the result is symmetric and zero for identical sequences.
@@ -148,38 +150,82 @@ def dtw_distance(a, b):
     ``a`` is ``(..., n, d)`` and ``b`` is ``(..., m, d)``; their leading
     batch axes broadcast and the result has the broadcast batch shape. A 1-D
     input is a sequence of scalars. With no batch axes the result is a float.
+
+    With ``windows``, an integer array of frame indices shaped ``(..., n)``,
+    ``a`` is one ``(frames, d)`` sequence and the result is that of
+    ``dtw_distance(a[windows], b)``, bit for bit. The distance between a
+    frame of ``a`` and a frame of ``b`` is computed once, however many
+    (overlapping) windows hold that frame.
     """
-    fa, fb = _as_matrix(a), _as_matrix(b)
-    if fa.size == 0 or fb.size == 0:
-        raise DomainError("dtw needs two nonempty sequences")
-    n, m = fa.shape[-2], fb.shape[-2]
-    batch = np.broadcast_shapes(fa.shape[:-2], fb.shape[:-2])
-    fa = np.broadcast_to(fa, batch + fa.shape[-2:]).reshape(-1, n, fa.shape[-1])
-    fb = np.broadcast_to(fb, batch + fb.shape[-2:]).reshape(-1, m, fb.shape[-1])
-    pairs = fa.shape[0]
+    fb = _as_matrix(b)
+    m = fb.shape[-2]
+    if windows is None:
+        fa = _as_matrix(a)
+        if fa.size == 0 or fb.size == 0:
+            raise DomainError("dtw needs two nonempty sequences")
+        n = fa.shape[-2]
+        batch = np.broadcast_shapes(fa.shape[:-2], fb.shape[:-2])
+        fa = np.broadcast_to(fa, batch + fa.shape[-2:]).reshape(-1, n, fa.shape[-1])
+        fb = np.broadcast_to(fb, batch + fb.shape[-2:]).reshape(-1, m, fb.shape[-1])
+
+        def local(start, stop):
+            return _local_distances(fa[start:stop], fb[start:stop])
+
+    else:
+        fa = np.asarray(getattr(a, "vectors", a), dtype=np.float64)
+        rows = np.asarray(windows)
+        if fa.ndim != 2 or rows.ndim == 0 or rows.dtype.kind not in "iu":
+            raise ParameterError(
+                "windowed dtw needs a 2-D sequence and an integer (..., n) index array"
+            )
+        if fa.size == 0 or fb.size == 0 or rows.size == 0:
+            raise DomainError("dtw needs two nonempty sequences")
+        n = rows.shape[-1]
+        batch = np.broadcast_shapes(rows.shape[:-1], fb.shape[:-2])
+        # table[t, f, j]: frame f of a against frame j of the t-th sequence of b
+        templates = fb.reshape(-1, m, fb.shape[-1])
+        table = _local_distances(
+            np.broadcast_to(fa, (len(templates),) + fa.shape), templates
+        )
+        which = np.arange(len(templates)).reshape(fb.shape[:-2])
+        which = np.broadcast_to(which, batch).reshape(-1, 1)
+        rows = np.broadcast_to(rows, batch + (n,)).reshape(-1, n)
+
+        def local(start, stop):
+            return table[which[start:stop], rows[start:stop]]
+
+    pairs = math.prod(batch)
     block = max(1, _BLOCK_CELLS // (n * m))
     result = np.empty(pairs)
     for start in range(0, pairs, block):
         stop = min(start + block, pairs)
-        result[start:stop] = _wavefront(_local_distances(fa[start:stop], fb[start:stop]))
+        result[start:stop] = _wavefront(local(start, stop))
     result = result.reshape(batch)
     return float(result) if not batch else result
 
 
 def _local_distances(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
     """Euclidean distance of every frame pair: ``(pairs, n, m)`` for
-    ``(pairs, n, d)`` against ``(pairs, m, d)``."""
+    ``(pairs, n, d)`` against ``(pairs, m, d)``, formed a few pairs, or a
+    few frames of one pair, at a time."""
     pairs, n, m = fa.shape[0], fa.shape[1], fb.shape[1]
     (d,) = np.broadcast_shapes(fa.shape[-1:], fb.shape[-1:])
-    chunk = max(1, _DIFF_VALUES // (n * m * d))
-    diff = np.empty((min(chunk, pairs), n, m, d))  # reused: saves page faults
+    frames = max(1, _DIFF_VALUES // (m * d))  # of fa per difference array
+    chunk, rows = max(1, frames // n), min(frames, n)
+    diff = np.empty((min(chunk, pairs), rows, m, d))  # reused: saves page faults
     local = np.empty((pairs, n, m))
     for start in range(0, pairs, chunk):
         stop = min(start + chunk, pairs)
-        part = diff[: stop - start]
-        np.subtract(fa[start:stop, :, np.newaxis, :], fb[start:stop, np.newaxis, :, :], out=part)
-        np.multiply(part, part, out=part)
-        np.sum(part, axis=-1, out=local[start:stop])
+        for first in range(0, n, rows):
+            last = min(first + rows, n)
+            part = diff[: stop - start, : last - first]
+            np.subtract(
+                fa[start:stop, first:last, np.newaxis, :],
+                fb[start:stop, np.newaxis, :, :],
+                out=part,
+            )
+            np.multiply(part, part, out=part)
+            np.sum(part, axis=-1, out=local[start:stop, first:last])
     return np.sqrt(local, out=local)
 
 
@@ -227,7 +273,8 @@ def _sweep(
 ) -> Tuple[float, Optional[str]]:
     """Minimum windowed DTW distance over (template, window) pairs and the
     tag of the winning template; the first pair in (template, start) order
-    wins a tie."""
+    wins a tie. The windows overlap, and each group of equal-length
+    templates shares one table of clip frame x template frame distances."""
     if not templates:
         raise ParameterError("need at least one template")
     features = extract_mfcc(audio)
@@ -246,14 +293,14 @@ def _sweep(
     starts = list(range(0, n - window_frames + 1, step))
     if starts[-1] != n - window_frames:
         starts.append(n - window_frames)  # trailing window reaches the clip end
-    windows = features.vectors[np.add.outer(starts, np.arange(window_frames))]
+    windows = np.add.outer(starts, np.arange(window_frames))
 
     matrices = [_as_matrix(template) for _, template in templates]
     distances = np.empty((len(matrices), len(starts)))
     for frames in {len(t) for t in matrices}:
         group = [i for i, t in enumerate(matrices) if len(t) == frames]
         stacked = np.stack([matrices[i] for i in group])[:, np.newaxis]
-        distances[group] = dtw_distance(windows, stacked)
+        distances[group] = dtw_distance(features.vectors, stacked, windows=windows)
     best = np.argmin(distances)  # first minimum in (template, start) order
     return float(distances.flat[best]), templates[best // len(starts)][0]
 

@@ -120,10 +120,12 @@ def _read_seeds(entries, base_dir: Path, known: Sequence[str] = _SEED_KEYS) -> T
         for name in ("id", "path", "category"):
             if name not in entry:
                 raise ConfigError(f"seed #{i} is missing '{name}'", field=name)
+        if not isinstance(entry["id"], str):
+            raise ConfigError(f"seed #{i} 'id' must be a string, got {entry['id']!r}", field="id")
         transcript = entry.get("transcript")
         seeds.append(
             SeedSpec(
-                seed_id=str(entry["id"]),
+                seed_id=entry["id"],
                 path=_resolve(entry["path"], base_dir, "path", f"seed #{i}"),
                 category=entry["category"],
                 # an empty transcript, like a missing one, means none

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from ..audio import AudioBuffer
-from ..errors import DomainError, ParameterError
+from ..errors import DomainError, ParameterError, reject_unknown_keys
 from . import basic, compound, linguistic
 
 PerturbationFn = Callable[..., AudioBuffer]
@@ -105,8 +105,11 @@ class Perturbation:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "Perturbation":
+        """The relation of a ``{"kind", "params"}`` descriptor; any other key
+        is a ConfigError naming it."""
         if not isinstance(payload, Mapping) or "kind" not in payload:
             raise ParameterError("perturbation descriptor must be an object with a 'kind'")
+        reject_unknown_keys(payload, ("kind", "params"), f"relation {payload['kind']!r}")
         return cls(payload["kind"], payload.get("params", {}))
 
 

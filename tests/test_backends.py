@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from audiomorph import deskcorpus
 from audiomorph.audio import AudioBuffer, content_digest
 from audiomorph.backends import (
     Category,
@@ -420,6 +421,36 @@ def dtw_batches(draw):
     return a, b, shapes.result_shape
 
 
+@st.composite
+def dtw_windows(draw):
+    """(a, b, windows): a of shape (frames, d), b of shape (*batch_b, m, d),
+    and windows, frame indices of a shaped (*batch_w, n) with broadcastable
+    batches. The windows step over a as a sweep's do (overlapping when the
+    step is shorter than n), end with a trailing window off the step grid
+    when the step does not divide, and repeat some windows; or they hold
+    arbitrary frame indices."""
+    frames = draw(st.integers(1, 10))
+    n, m, d = draw(st.integers(1, frames)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    step = draw(st.integers(1, n + 1))
+    starts = list(range(0, frames - n + 1, step))
+    if starts[-1] != frames - n:
+        starts.append(frames - n)
+    starts += draw(st.lists(st.sampled_from(starts), max_size=2))
+    windows = np.add.outer(starts, np.arange(n))
+    if draw(st.booleans()):
+        windows = draw(hnp.arrays(np.intp, windows.shape, elements=st.integers(0, frames - 1)))
+    if draw(st.booleans()):
+        windows = windows[0]  # one window: the batch is b's alone
+    batch_b = draw(st.sampled_from([(), (draw(st.integers(1, 3)), 1), windows.shape[:-1]]))
+    if draw(st.booleans()):
+        elements = st.integers(-2, 2).map(float)
+    else:
+        elements = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+    a = draw(hnp.arrays(np.float64, (frames, d), elements=elements))
+    b = draw(hnp.arrays(np.float64, batch_b + (m, d), elements=elements))
+    return a, b, windows
+
+
 class TestDtw:
     @given(
         dtw_batches(),
@@ -454,6 +485,48 @@ class TestDtw:
         assert isinstance(got, float)
         assert got == loop_dtw(a, b)
         assert spotter.dtw_distance(a, a) == loop_dtw(a, a)
+
+    @given(
+        dtw_windows(),
+        st.sampled_from([1, 40, spotter._BLOCK_CELLS]),
+        st.sampled_from([1, 40, spotter._DIFF_VALUES]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_windowed_equals_gathered_and_loop_reference(self, case, block_cells, diff_values):
+        # the windowed form shares one frame distance table across windows;
+        # small limits split its table, gathers and wavefront into pieces
+        a, b, windows = case
+        with (
+            mock.patch.object(spotter, "_BLOCK_CELLS", block_cells),
+            mock.patch.object(spotter, "_DIFF_VALUES", diff_values),
+        ):
+            got = spotter.dtw_distance(a, b, windows=windows)
+        gathered = spotter.dtw_distance(a[windows], b)
+        batch = np.broadcast_shapes(windows.shape[:-1], b.shape[:-2])
+        if not batch:
+            assert isinstance(got, float)
+            assert got == gathered == loop_dtw(a[windows], b)
+            return
+        assert got.shape == batch
+        assert got.tobytes() == gathered.tobytes()
+        windows = np.broadcast_to(windows, batch + windows.shape[-1:])
+        b = np.broadcast_to(b, batch + b.shape[-2:])
+        for index in np.ndindex(batch):
+            assert got[index] == loop_dtw(a[windows[index]], b[index])
+
+    @pytest.mark.parametrize(
+        "a, windows, error",
+        [
+            (np.zeros(5), [[0, 1]], ParameterError),  # a sequence of scalars
+            (np.zeros((5, 2)), [[0.0, 1.0]], ParameterError),
+            (np.zeros((5, 2)), 0, ParameterError),
+            (np.zeros((5, 2)), np.zeros((1, 0), dtype=int), DomainError),
+            (np.zeros((0, 2)), [[0, 1]], DomainError),
+        ],
+    )
+    def test_windowed_rejects_bad_inputs(self, a, windows, error):
+        with pytest.raises(error):
+            spotter.dtw_distance(a, np.zeros((3, 2)), windows=windows)
 
     def test_identity_zero(self):
         seq = np.random.default_rng(0).normal(size=(10, 13))
@@ -528,6 +601,27 @@ class TestSpotKeywords:
         features = spotter.extract_mfcc(clip).vectors
         assert len(features) == 98  # 38-frame windows start at 0, 10, ..., 60
         expected = loop_sweep(features, templates, 38, range(0, 61, 10))
+        assert spotter._sweep(clip, templates, 0.4, 0.1) == expected
+
+    def test_multi_second_sweep_matches_loop_reference(self):
+        # three desk seeds and a quarter second more: 323 feature frames, so
+        # 30 overlapping 38-frame windows step by 10 and the trailing one
+        # starts off that grid, at 285; the 0.3 s template has 28 frames
+        seeds = deskcorpus.synth_seeds(103)
+        samples = np.concatenate([clip.samples for _, _, clip in seeds[:4]], axis=1)
+        clip = AudioBuffer(samples[:, : int(3.25 * RATE)], RATE)
+        words = deskcorpus.synth_templates()
+        templates = [
+            (filename.split("__")[0], spotter.extract_mfcc(buf))
+            for filename, buf in sorted(words.items())
+        ]
+        cut = words["porn__moan.wav"].samples[:, : int(0.3 * RATE)]
+        templates.insert(1, ("porn", spotter.extract_mfcc(AudioBuffer(cut, RATE))))
+        assert sorted({len(t) for _, t in templates}) == [28, 38]
+        features = spotter.extract_mfcc(clip).vectors
+        assert len(features) == 323
+        starts = [*range(0, 281, 10), 285]
+        expected = loop_sweep(features, templates, 38, starts)
         assert spotter._sweep(clip, templates, 0.4, 0.1) == expected
 
     def test_sweep_tie_breaks(self):

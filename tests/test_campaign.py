@@ -228,6 +228,22 @@ class TestConfig:
             CampaignConfig.from_dict(config)
         assert err.value.field == "transcript_path"
 
+    def test_unknown_relation_key_rejected(self):
+        config = self._minimal()
+        config["mrs"] = [{"kind": "gain", "params": {"db": 1.0}, "parms": {}}]
+        with pytest.raises(ConfigError, match="relation 'gain' .*'parms'") as err:
+            CampaignConfig.from_dict(config)
+        assert err.value.field == "parms"
+
+    @pytest.mark.parametrize("seed_id", [None, [1], 5])
+    def test_non_string_seed_id_rejected(self, seed_id):
+        # never coerced: null would become the id "None", [1] the id "[1]"
+        config = self._minimal()
+        config["seeds"][0]["id"] = seed_id
+        with pytest.raises(ConfigError, match="seed #0 'id' must be a string") as err:
+            CampaignConfig.from_dict(config)
+        assert err.value.field == "id"
+
     @pytest.mark.parametrize("workers", [2.7, True, "3", "four"])
     def test_non_integer_workers_rejected(self, workers):
         # checked as given, never coerced: 2.7 is not 2 and true is not 1

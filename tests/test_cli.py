@@ -335,6 +335,16 @@ class TestCampaign:
         assert code == 1
         assert "seeds" in err
 
+    def test_unknown_relation_key_is_config_error(self, capsys, tmp_path):
+        path = _write_campaign(tmp_path)
+        config = json.loads(path.read_text())
+        config["mrs"] = [{"kind": "gain", "params": {"db": 1.0}, "parms": {}}]
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code, _, err = run_cli(capsys, "campaign", str(path))
+        assert code == 1
+        assert "config error:" in err and "'parms'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_all_seeds_filtered_exit_three(self, capsys, tmp_path):
         config = _write_campaign(tmp_path, toxic_fixture=False)
         code, stdout, _ = run_cli(capsys, "campaign", str(config))
@@ -427,6 +437,7 @@ class TestCampaign:
             pytest.param(
                 lambda m, d: m["seeds"][0].update(path=5), "'path'", id="non-string-path"
             ),
+            pytest.param(lambda m, d: m["seeds"][0].update(id=None), "'id'", id="null-id"),
         ],
     )
     def test_replay_of_malformed_manifest_is_config_error(self, capsys, tmp_path, edit, named):

@@ -125,6 +125,21 @@ class TestOfflineCampaign:
             assert content_digest(buf) == case["digest"]
 
 
+def test_live_desk_campaign_reproduces_the_checked_in_run(finished_campaign):
+    """The live spotter run at base seed 100 gives the verdicts, cases and
+    report bytes recorded in tests/data/desk_replay. Replay answers from the
+    recorded verdicts, so only this run catches a spotter change that moves
+    a confidence."""
+    _, report = finished_campaign
+    recorded = Path(__file__).parent / "data" / "desk_replay"
+    live = json.loads(report.manifest.read_text())
+    expected = json.loads((recorded / "manifest.json").read_text())
+    assert live["verdicts"] == expected["verdicts"]
+    assert live["cases"] == expected["cases"]
+    assert report.report_json.read_bytes() == (recorded / "report.json").read_bytes()
+    assert report.report_csv.read_bytes() == (recorded / "report.csv").read_bytes()
+
+
 def test_checked_in_desk_replay_reproduces_its_reports(tmp_path):
     """tests/data/desk_replay holds a campaign recorded on the desk corpus at
     base seed 100. Its manifest, moved into a freshly built corpus, replays
