@@ -1,6 +1,5 @@
-"""PCM audio representation, lossless 16-bit WAV I/O, and the signal
-measurements (RMS, spectrum, dominant frequency, SNR) that the perturbation
-property tests use as oracles.
+"""PCM audio representation, lossless 16-bit WAV I/O, and the content
+digest that keys artifacts and fixtures.
 
 Conventions
 -----------
@@ -10,19 +9,17 @@ Conventions
 * Out-of-range samples are hard-clamped (at write time and by gain-type
   operations), never auto-normalized: clipping is audible and must be
   deterministic.
-* Spectral measurements use a Hann window on a mono mixdown (channel mean).
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, UnsupportedCodecError, WavFormatError
+from .errors import UnsupportedCodecError, WavFormatError
 
 #: Sample rate used by synthesized fixtures and the desk corpus.
 DEFAULT_SAMPLE_RATE = 16000
@@ -94,23 +91,10 @@ class AudioBuffer:
         return self.samples[index]
 
     def mono_mix(self) -> np.ndarray:
-        """Channel-mean mono mixdown, used by the spectral measurements."""
+        """Channel-mean mono mixdown."""
         if self.channels == 1:
             return self.samples[0]
         return self.samples.mean(axis=0)
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Single-sided magnitude spectrum with its bin grid."""
-
-    bin_frequencies: np.ndarray
-    magnitudes: np.ndarray
-    resolution: float = field(default=0.0)
-
-    def __post_init__(self):
-        if len(self.bin_frequencies) != len(self.magnitudes):
-            raise ValueError("bin_frequencies and magnitudes must have equal length")
 
 
 # ---------------------------------------------------------------------------
@@ -246,58 +230,3 @@ def content_digest(buffer: AudioBuffer) -> str:
     h.update(struct.pack("<4sIH", b"PCM1", buffer.sample_rate, buffer.channels))
     h.update(quantize_int16(buffer.samples.T).tobytes(order="C"))
     return h.hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# Measurements
-# ---------------------------------------------------------------------------
-
-
-def rms(buffer: AudioBuffer) -> np.ndarray:
-    """Per-channel root-mean-square in linear units."""
-    if buffer.frames == 0:
-        raise DomainError("rms of an empty buffer is undefined")
-    return np.sqrt(np.mean(buffer.samples**2, axis=1))
-
-
-def _pooled_rms(samples: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(samples**2)))
-
-
-def spectrum(buffer: AudioBuffer, fft_size: int) -> Spectrum:
-    """Hann-windowed magnitude spectrum of the first ``fft_size`` frames of
-    the mono mixdown."""
-    if fft_size <= 0 or fft_size & (fft_size - 1):
-        raise ParameterError(f"fft_size must be a power of two, got {fft_size}")
-    if buffer.frames < fft_size:
-        raise DomainError(f"buffer has {buffer.frames} frames, need {fft_size}")
-    mono = buffer.mono_mix()[:fft_size]
-    window = np.hanning(fft_size)
-    mags = np.abs(np.fft.rfft(mono * window))
-    freqs = np.fft.rfftfreq(fft_size, d=1.0 / buffer.sample_rate)
-    return Spectrum(freqs, mags, resolution=buffer.sample_rate / fft_size)
-
-
-def dominant_frequency(buffer: AudioBuffer, fft_size: int) -> float:
-    """Bin-center frequency of the largest spectral magnitude (Hz)."""
-    spec = spectrum(buffer, fft_size)
-    return float(spec.bin_frequencies[int(np.argmax(spec.magnitudes))])
-
-
-def measure_snr(signal: AudioBuffer, noisy: AudioBuffer) -> float:
-    """Signal-to-noise ratio 20*log10(rms(signal) / rms(noisy - signal)) in dB.
-
-    Identical inputs (zero noise) return +inf as the distinguished
-    "no noise" result.
-    """
-    if signal.samples.shape != noisy.samples.shape:
-        raise DomainError("signal and noisy buffers must have identical shape")
-    if signal.sample_rate != noisy.sample_rate:
-        raise DomainError("signal and noisy buffers must share a sample rate")
-    noise_rms = _pooled_rms(noisy.samples - signal.samples)
-    signal_rms = _pooled_rms(signal.samples)
-    if noise_rms == 0.0:
-        return math.inf
-    if signal_rms == 0.0:
-        return -math.inf
-    return 20.0 * math.log10(signal_rms / noise_rms)

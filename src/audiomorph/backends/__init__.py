@@ -40,12 +40,11 @@ TOXIC_CATEGORIES = (Category.INSULT, Category.PORN, Category.SPAM)
 
 @dataclass(frozen=True)
 class Verdict:
-    """Single moderation outcome: exactly one category, an optional
-    confidence in [0, 1], and the opaque provider payload for audit."""
+    """Single moderation outcome: exactly one category and an optional
+    confidence in [0, 1]."""
 
     category: Category
     confidence: Optional[float] = None
-    raw: Any = None
 
     def __post_init__(self):
         if not isinstance(self.category, Category):

@@ -203,4 +203,4 @@ class HttpBackend(ModerationBackend):
                 raise ResponseMappingError(
                     f"confidence at {confidence_path!r} is not numeric: {value!r}"
                 ) from exc
-        return Verdict(self._categories[key], confidence, raw=payload)
+        return Verdict(self._categories[key], confidence)

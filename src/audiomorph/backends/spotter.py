@@ -6,7 +6,7 @@ distance of some template. Pure after load, so campaigns can drive it
 offline and deterministically.
 
 The sweep over (template, window) pairs is batched: ``_sweep`` makes one
-windowed ``dtw_distance`` call per group of equal-length templates, which
+``dtw_distance`` call per group of equal-length templates, which
 computes each (clip frame, template frame) distance once, however many
 overlapping windows share that frame, and then fills the DP tables of many
 pairs at once, one anti-diagonal at a time. Two tie-break rules fix the
@@ -21,7 +21,6 @@ import functools
 import math
 import os
 import re
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,25 +46,6 @@ _LOG_FLOOR = 1e-30
 # unless one frame against all of m frames needs more
 _BLOCK_CELLS = 1 << 17
 _DIFF_VALUES = 1 << 16
-
-
-@dataclass(frozen=True)
-class MfccFeatures:
-    """Per-frame MFCC vectors, one row per frame."""
-
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.vectors, dtype=np.float64)
-        if data.ndim != 2:
-            raise ValueError("vectors must be 2-D (frames x coefficients)")
-        object.__setattr__(self, "vectors", data)
-
-    def __len__(self) -> int:
-        return self.vectors.shape[0]
-
-    def __getitem__(self, index):
-        return self.vectors[index]
 
 
 def _hz_to_mel(hz):
@@ -109,10 +89,11 @@ def _dct_matrix(n_out: int, n_in: int) -> np.ndarray:
     return matrix
 
 
-def extract_mfcc(audio: AudioBuffer) -> MfccFeatures:
+def extract_mfcc(audio: AudioBuffer) -> np.ndarray:
     """13 MFCCs per frame: 25 ms frames at a 10 ms hop, pre-emphasis 0.97,
     Hamming window, 512-point FFT, 26 mel filters, log, orthonormal DCT-II.
-    Yields floor((frames - frame_len)/hop) + 1 vectors."""
+    Returns a read-only float64 array of floor((frames - frame_len)/hop) + 1
+    rows, one per feature frame, and 13 columns."""
     rate = audio.sample_rate
     frame_len = int(round(FRAME_S * rate))
     hop = int(round(FRAME_HOP_S * rate))
@@ -132,100 +113,67 @@ def extract_mfcc(audio: AudioBuffer) -> MfccFeatures:
     mel_energy = power @ _mel_filterbank(rate).T
     log_mel = np.log(np.maximum(mel_energy, _LOG_FLOOR))
     coefficients = log_mel @ _dct_matrix(N_COEFFICIENTS, MEL_FILTERS).T
-    return MfccFeatures(coefficients)
-
-
-def _as_matrix(seq) -> np.ndarray:
-    data = np.asarray(getattr(seq, "vectors", seq), dtype=np.float64)
-    if data.ndim == 1:
-        data = data[:, np.newaxis]
-    return data
+    coefficients.flags.writeable = False
+    return coefficients
 
 
 def dtw_distance(a, b, *, windows=None):
     """Path-length-normalized dynamic time warping under Euclidean frame
-    distance. Among minimum-cost monotone alignments the shortest path
-    is taken; the result is symmetric and zero for identical sequences.
+    distance, of windows of one sequence against others. Among minimum-cost
+    monotone alignments the shortest path is taken; the result is symmetric
+    and zero for identical sequences.
 
-    ``a`` is ``(..., n, d)`` and ``b`` is ``(..., m, d)``; their leading
-    batch axes broadcast and the result has the broadcast batch shape. A 1-D
-    input is a sequence of scalars. With no batch axes the result is a float.
-
-    With ``windows``, an integer array of frame indices shaped ``(..., n)``,
-    ``a`` is one ``(frames, d)`` sequence and the result is that of
-    ``dtw_distance(a[windows], b)``, bit for bit. The distance between a
-    frame of ``a`` and a frame of ``b`` is computed once, however many
-    (overlapping) windows hold that frame.
+    ``a`` is one ``(frames, d)`` sequence and ``b`` is ``(..., m, d)``.
+    ``windows`` is an integer array of frame indices of ``a`` shaped
+    ``(..., n)``; each row of it picks the ``(n, d)`` window of ``a`` that
+    is compared, and it defaults to one window holding all of ``a``. The
+    batch axes of ``windows`` and ``b`` broadcast, and the result has the
+    broadcast batch shape; with no batch axes it is a float. The distance
+    between a frame of ``a`` and a frame of ``b`` is computed once, however
+    many (overlapping) windows hold that frame.
     """
-    fb = _as_matrix(b)
-    m = fb.shape[-2]
-    if windows is None:
-        fa = _as_matrix(a)
-        if fa.size == 0 or fb.size == 0:
-            raise DomainError("dtw needs two nonempty sequences")
-        n = fa.shape[-2]
-        batch = np.broadcast_shapes(fa.shape[:-2], fb.shape[:-2])
-        fa = np.broadcast_to(fa, batch + fa.shape[-2:]).reshape(-1, n, fa.shape[-1])
-        fb = np.broadcast_to(fb, batch + fb.shape[-2:]).reshape(-1, m, fb.shape[-1])
-
-        def local(start, stop):
-            return _local_distances(fa[start:stop], fb[start:stop])
-
-    else:
-        fa = np.asarray(getattr(a, "vectors", a), dtype=np.float64)
-        rows = np.asarray(windows)
-        if fa.ndim != 2 or rows.ndim == 0 or rows.dtype.kind not in "iu":
-            raise ParameterError(
-                "windowed dtw needs a 2-D sequence and an integer (..., n) index array"
-            )
-        if fa.size == 0 or fb.size == 0 or rows.size == 0:
-            raise DomainError("dtw needs two nonempty sequences")
-        n = rows.shape[-1]
-        batch = np.broadcast_shapes(rows.shape[:-1], fb.shape[:-2])
-        # table[t, f, j]: frame f of a against frame j of the t-th sequence of b
-        templates = fb.reshape(-1, m, fb.shape[-1])
-        table = _local_distances(
-            np.broadcast_to(fa, (len(templates),) + fa.shape), templates
-        )
-        which = np.arange(len(templates)).reshape(fb.shape[:-2])
-        which = np.broadcast_to(which, batch).reshape(-1, 1)
-        rows = np.broadcast_to(rows, batch + (n,)).reshape(-1, n)
-
-        def local(start, stop):
-            return table[which[start:stop], rows[start:stop]]
+    fa, fb = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if fa.ndim != 2 or fb.ndim < 2:
+        raise ParameterError("dtw needs a (frames, d) sequence and (..., m, d) ones")
+    rows = np.arange(len(fa)) if windows is None else np.asarray(windows)
+    if rows.ndim == 0 or rows.dtype.kind not in "iu":
+        raise ParameterError("dtw windows must be an integer (..., n) index array")
+    if fa.size == 0 or fb.size == 0 or rows.size == 0:
+        raise DomainError("dtw needs two nonempty sequences")
+    n, m = rows.shape[-1], fb.shape[-2]
+    batch = np.broadcast_shapes(rows.shape[:-1], fb.shape[:-2])
+    # table[t, f, j]: frame f of a against frame j of the t-th sequence of b
+    templates = fb.reshape(-1, m, fb.shape[-1])
+    table = _local_distances(fa, templates)
+    which = np.arange(len(templates)).reshape(fb.shape[:-2])
+    which = np.broadcast_to(which, batch).reshape(-1, 1)
+    rows = np.broadcast_to(rows, batch + (n,)).reshape(-1, n)
 
     pairs = math.prod(batch)
     block = max(1, _BLOCK_CELLS // (n * m))
     result = np.empty(pairs)
     for start in range(0, pairs, block):
         stop = min(start + block, pairs)
-        result[start:stop] = _wavefront(local(start, stop))
+        result[start:stop] = _wavefront(table[which[start:stop], rows[start:stop]])
     result = result.reshape(batch)
     return float(result) if not batch else result
 
 
 def _local_distances(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
-    """Euclidean distance of every frame pair: ``(pairs, n, m)`` for
-    ``(pairs, n, d)`` against ``(pairs, m, d)``, formed a few pairs, or a
-    few frames of one pair, at a time."""
-    pairs, n, m = fa.shape[0], fa.shape[1], fb.shape[1]
-    (d,) = np.broadcast_shapes(fa.shape[-1:], fb.shape[-1:])
-    frames = max(1, _DIFF_VALUES // (m * d))  # of fa per difference array
-    chunk, rows = max(1, frames // n), min(frames, n)
-    diff = np.empty((min(chunk, pairs), rows, m, d))  # reused: saves page faults
-    local = np.empty((pairs, n, m))
-    for start in range(0, pairs, chunk):
-        stop = min(start + chunk, pairs)
+    """Euclidean distance of every frame pair: ``(t, n, m)`` for ``(n, d)``
+    against ``(t, m, d)``, formed one template and a few frames of ``fa``
+    at a time."""
+    n, (t, m, d) = fa.shape[0], fb.shape
+    rows = max(1, _DIFF_VALUES // (m * d))  # frames of fa per difference array
+    diff = np.empty((min(rows, n), m, d))  # reused: saves page faults
+    local = np.empty((t, n, m))
+    for template, out in zip(fb, local):
         for first in range(0, n, rows):
             last = min(first + rows, n)
-            part = diff[: stop - start, : last - first]
-            np.subtract(
-                fa[start:stop, first:last, np.newaxis, :],
-                fb[start:stop, np.newaxis, :, :],
-                out=part,
-            )
+            part = diff[: last - first]
+            np.subtract(fa[first:last, np.newaxis, :], template[np.newaxis], out=part)
             np.multiply(part, part, out=part)
-            np.sum(part, axis=-1, out=local[start:stop, first:last])
+            np.sum(part, axis=-1, out=out[first:last])
     return np.sqrt(local, out=local)
 
 
@@ -267,7 +215,7 @@ def _wavefront(local: np.ndarray) -> np.ndarray:
 
 def _sweep(
     audio: AudioBuffer,
-    templates: Sequence[Tuple[str, MfccFeatures]],
+    templates: Sequence[Tuple[str, np.ndarray]],
     window_s: float,
     hop_s: float,
 ) -> Tuple[float, Optional[str]]:
@@ -295,19 +243,19 @@ def _sweep(
         starts.append(n - window_frames)  # trailing window reaches the clip end
     windows = np.add.outer(starts, np.arange(window_frames))
 
-    matrices = [_as_matrix(template) for _, template in templates]
-    distances = np.empty((len(matrices), len(starts)))
-    for frames in {len(t) for t in matrices}:
-        group = [i for i, t in enumerate(matrices) if len(t) == frames]
-        stacked = np.stack([matrices[i] for i in group])[:, np.newaxis]
-        distances[group] = dtw_distance(features.vectors, stacked, windows=windows)
+    lengths = [len(template) for _, template in templates]
+    distances = np.empty((len(templates), len(starts)))
+    for frames in set(lengths):
+        group = [i for i, length in enumerate(lengths) if length == frames]
+        stacked = np.stack([templates[i][1] for i in group])[:, np.newaxis]
+        distances[group] = dtw_distance(features, stacked, windows=windows)
     best = np.argmin(distances)  # first minimum in (template, start) order
     return float(distances.flat[best]), templates[best // len(starts)][0]
 
 
 def spot_keywords(
     audio: AudioBuffer,
-    templates: Sequence[Tuple[str, MfccFeatures]],
+    templates: Sequence[Tuple[str, np.ndarray]],
     window_s: float,
     hop_s: float,
     threshold: float,
@@ -328,11 +276,12 @@ def spot_keywords(
 _TEMPLATE_NAME = re.compile(r"^(?P<tag>[a-z_]+)__(?P<word>.+)\.wav$")
 
 
-def load_templates(directory) -> List[Tuple[str, MfccFeatures]]:
+def load_templates(directory) -> List[Tuple[str, np.ndarray]]:
     """Template directory: WAV files named ``<tag>__<word>.wav`` where tag
-    is a toxic category. Returns (tag, features) sorted by file name."""
+    is a toxic category. Returns (tag, MFCC array) pairs sorted by file
+    name."""
     toxic_names = {c.value for c in TOXIC_CATEGORIES}
-    entries: List[Tuple[str, MfccFeatures]] = []
+    entries: List[Tuple[str, np.ndarray]] = []
     try:
         names = sorted(os.listdir(directory))
     except OSError as exc:
@@ -387,7 +336,7 @@ class KeywordSpotterBackend(ModerationBackend):
 
 def min_template_distance(
     audio: AudioBuffer,
-    templates: Sequence[Tuple[str, MfccFeatures]],
+    templates: Sequence[Tuple[str, np.ndarray]],
     window_s: float,
     hop_s: float,
 ) -> float:
@@ -397,7 +346,7 @@ def min_template_distance(
 
 def calibrate_threshold(
     labeled_clips: Sequence[Tuple[AudioBuffer, bool]],
-    templates: Sequence[Tuple[str, MfccFeatures]],
+    templates: Sequence[Tuple[str, np.ndarray]],
     window_s: float = 0.4,
     hop_s: float = 0.1,
 ) -> Tuple[float, float]:

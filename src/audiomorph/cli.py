@@ -48,6 +48,7 @@ from .perturb.linguistic import (
     load_stopwords,
     load_transcript,
     render_text,
+    save_transcript,
     select_keywords,
 )
 
@@ -193,7 +194,7 @@ def _cmd_perturb(args) -> int:
             out_t = homophone_substitute(transcript, lexicon, **params).transcript
         else:
             out_t = benign_discontinuity_text(transcript, **params)
-        _write_transcript(out_t, args.output)
+        save_transcript(out_t, args.output)
         descriptor["output"] = args.output
         print(json.dumps(descriptor, sort_keys=True))
         print(render_text(out_t), file=sys.stderr)
@@ -211,16 +212,6 @@ def _cmd_perturb(args) -> int:
     descriptor["digest"] = content_digest(perturbed)
     print(json.dumps(descriptor, sort_keys=True))
     return EXIT_OK
-
-
-def _write_transcript(t: Transcript, path) -> None:
-    lines = []
-    if t.alignment is not None:
-        for token, (start, end) in zip(t.tokens, t.alignment):
-            lines.append(f"{token}\t{start}\t{end}")
-    else:
-        lines.extend(t.tokens)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _cmd_desk(args) -> int:

@@ -17,7 +17,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .audio import DEFAULT_SAMPLE_RATE, AudioBuffer, write_wav
-from .backends.spotter import calibrate_threshold, extract_mfcc, load_templates
+from .backends.spotter import calibrate_threshold, load_templates
 from .errors import write_json
 
 RATE = DEFAULT_SAMPLE_RATE

@@ -199,6 +199,17 @@ def homophone_substitute(
     return SubstitutionResult(result, dict(replaced), dict(no_entry))
 
 
+def _discontinuity_sites(
+    tokens: Sequence[str], targets: Iterable[str], repeats: int
+) -> List[int]:
+    """The discontinuity ops' site rule: indices of the tokens directly
+    preceding a target (case-insensitive), once ``repeats`` is checked."""
+    if not (isinstance(repeats, (int, np.integer)) and repeats >= 1):
+        raise ParameterError(f"repeats must be an integer >= 1, got {repeats}")
+    target_set = {w.lower() for w in targets}
+    return [i for i in range(len(tokens) - 1) if tokens[i + 1].lower() in target_set]
+
+
 def benign_discontinuity_text(
     t: Transcript,
     targets: Iterable[str],
@@ -209,18 +220,10 @@ def benign_discontinuity_text(
     times with ``stop_marker`` after each occurrence; the target itself
     is preserved. Grows the token count by (repeats-1) + repeats markers
     per matched site. Alignment is dropped (timing no longer applies)."""
-    if not (isinstance(repeats, (int, np.integer)) and repeats >= 1):
-        raise ParameterError(f"repeats must be an integer >= 1, got {repeats}")
-    target_set = {w.lower() for w in targets}
+    sites = set(_discontinuity_sites(t.tokens, targets, repeats))
     out: List[str] = []
     for i, token in enumerate(t.tokens):
-        follows = t.tokens[i + 1].lower() if i + 1 < len(t.tokens) else None
-        if follows is not None and follows in target_set:
-            for _ in range(repeats):
-                out.append(token)
-                out.append(stop_marker)
-        else:
-            out.append(token)
+        out.extend([token, stop_marker] * repeats if i in sites else [token])
     return Transcript(tuple(out), t.language, None)
 
 
@@ -235,26 +238,21 @@ def benign_discontinuity_audio(
     has its aligned span duplicated ``repeats`` times, with gap_s of
     silence after every occurrence. Duration grows by
     (repeats-1)*span + repeats*gap_s per site, exact to one frame."""
-    if not (isinstance(repeats, (int, np.integer)) and repeats >= 1):
-        raise ParameterError(f"repeats must be an integer >= 1, got {repeats}")
+    sites = _discontinuity_sites(transcript.tokens, targets, repeats)
     if gap_s < 0:
         raise ParameterError(f"gap must be >= 0 s, got {gap_s}")
-    tokens, alignment = transcript.tokens, transcript.alignment
+    alignment = transcript.alignment
     if alignment is None:
         raise DomainError("audio discontinuity needs a time-aligned transcript")
     if alignment and alignment[-1][1] > x.duration + 1e-9:
         raise DomainError("alignment extends past the end of the audio")
-    target_set = {w.lower() for w in targets}
     rate = x.sample_rate
     gap_frames = int(round(gap_s * rate))
     silence = np.zeros((x.channels, gap_frames))
 
     pieces: List[np.ndarray] = []
     cursor = 0
-    for i in range(len(tokens)):
-        follows = tokens[i + 1].lower() if i + 1 < len(tokens) else None
-        if follows is None or follows not in target_set:
-            continue
+    for i in sites:
         start = int(round(alignment[i][0] * rate))
         end = int(round(alignment[i][1] * rate))
         pieces.append(x.samples[:, cursor:start])
@@ -302,6 +300,16 @@ def load_lexicon(path, language: str = "EN") -> HomophoneLexicon:
                 raise ConfigError(f"{path}:{lineno}: no candidates for {word!r}")
             entries[word] = tuple((rank, cand) for rank, cand in enumerate(candidates, 1))
     return HomophoneLexicon(entries, language)
+
+
+def save_transcript(t: Transcript, path) -> None:
+    """Write ``t`` in the format load_transcript reads."""
+    if t.alignment is None:
+        lines = list(t.tokens)
+    else:
+        lines = [f"{token}\t{start}\t{end}" for token, (start, end) in zip(t.tokens, t.alignment)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_transcript(path, language: str = "EN") -> Transcript:

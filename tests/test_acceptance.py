@@ -19,16 +19,7 @@ import numpy as np
 import pytest
 
 from audiomorph import deskcorpus
-from audiomorph.audio import (
-    AudioBuffer,
-    content_digest,
-    dominant_frequency,
-    measure_snr,
-    read_wav,
-    rms,
-    spectrum,
-    write_wav,
-)
+from audiomorph.audio import AudioBuffer, content_digest, read_wav, write_wav
 from audiomorph.backends import Category, ModerationBackend, Verdict
 from audiomorph.backends.http import HttpBackend
 from audiomorph.campaign import (
@@ -52,6 +43,7 @@ from audiomorph.perturb.linguistic import (
 )
 from .conftest import envelope_period_s, sine
 from .mockserver import SubprocessModerationServer
+from .oracles import dominant_frequency, measure_snr, rms, spectrum
 
 RATE = 16000
 

@@ -15,12 +15,8 @@ from audiomorph.audio import (
     AudioBuffer,
     QUANTIZATION_STEP,
     content_digest,
-    dominant_frequency,
-    measure_snr,
     quantize_int16,
     read_wav,
-    rms,
-    spectrum,
     write_wav,
 )
 from audiomorph.errors import (
@@ -30,6 +26,7 @@ from audiomorph.errors import (
     WavFormatError,
 )
 from .conftest import sine, stereo_sine
+from .oracles import dominant_frequency, measure_snr, rms, spectrum
 
 
 class TestAudioBuffer:

@@ -196,7 +196,6 @@ class TestHttpBackend:
             verdict = _backend(server).moderate(tone_440)
         assert verdict.category is Category.INSULT
         assert verdict.confidence == pytest.approx(0.87)
-        assert verdict.raw == {"result": {"label": "abuse", "score": 0.87}}
 
     def test_body_placeholders_filled(self, tone_440):
         with MockModerationServer() as server:
@@ -303,19 +302,19 @@ class TestExtractMfcc:
     def test_frame_count(self):
         buf = sine(440.0, duration_s=1.0)
         features = spotter.extract_mfcc(buf)
-        assert len(features) == 98
-        assert features.vectors.shape == (98, 13)
+        assert features.shape == (98, 13) and features.dtype == np.float64
+        assert not features.flags.writeable
 
     def test_bitwise_deterministic(self, tone_440):
         a = spotter.extract_mfcc(tone_440)
         b = spotter.extract_mfcc(tone_440)
-        assert np.array_equal(a.vectors, b.vectors)
+        assert np.array_equal(a, b)
 
     def test_gain_moves_only_coefficient_zero(self):
         buf = sine(300.0, amplitude=0.05, duration_s=0.5)
         louder = basic.gain(buf, 6.0)
-        fa = spotter.extract_mfcc(buf).vectors
-        fb = spotter.extract_mfcc(louder).vectors
+        fa = spotter.extract_mfcc(buf)
+        fb = spotter.extract_mfcc(louder)
         assert np.max(np.abs(fa[:, 1:] - fb[:, 1:])) < 1e-3
         assert np.min(np.abs(fa[:, 0] - fb[:, 0])) > 0.1
 
@@ -340,12 +339,11 @@ class TestExtractMfcc:
 
 def oracle_dtw(a, b):
     """Exhaustive DTW over every monotone path, lexicographic (cost, length)."""
-    a = np.atleast_2d(np.asarray(a, dtype=float).T).T if np.asarray(a).ndim == 1 else np.asarray(a)
-    b = np.atleast_2d(np.asarray(b, dtype=float).T).T if np.asarray(b).ndim == 1 else np.asarray(b)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     n, m = len(a), len(b)
 
     def dist(i, j):
-        return float(np.linalg.norm(np.atleast_1d(a[i]) - np.atleast_1d(b[j])))
+        return float(np.linalg.norm(a[i] - b[j]))
 
     best = [math.inf, math.inf]  # cost, length
 
@@ -372,7 +370,7 @@ def loop_dtw(a, b):
     wavefront: start from the diagonal neighbour, then try up, then left,
     and take a neighbour only at strictly lower cost, or at equal cost with
     a shorter path."""
-    fa, fb = spotter._as_matrix(a), spotter._as_matrix(b)
+    fa, fb = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     n, m = fa.shape[0], fb.shape[0]
     diff = fa[:, np.newaxis, :] - fb[np.newaxis, :, :]
     local = np.sqrt(np.sum(diff * diff, axis=2))
@@ -406,29 +404,14 @@ def loop_sweep(features, templates, window_frames, starts):
 
 
 @st.composite
-def dtw_batches(draw):
-    """(a, b) of shapes (*batch_a, n, d) and (*batch_b, m, d) with
-    broadcastable batches, valued as small integers (many ties) or floats."""
-    shapes = draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=2, max_side=3))
-    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    d = draw(st.integers(1, 3))
-    if draw(st.booleans()):
-        elements = st.integers(-2, 2).map(float)
-    else:
-        elements = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
-    a = draw(hnp.arrays(np.float64, shapes.input_shapes[0] + (n, d), elements=elements))
-    b = draw(hnp.arrays(np.float64, shapes.input_shapes[1] + (m, d), elements=elements))
-    return a, b, shapes.result_shape
-
-
-@st.composite
 def dtw_windows(draw):
     """(a, b, windows): a of shape (frames, d), b of shape (*batch_b, m, d),
     and windows, frame indices of a shaped (*batch_w, n) with broadcastable
     batches. The windows step over a as a sweep's do (overlapping when the
     step is shorter than n), end with a trailing window off the step grid
     when the step does not divide, and repeat some windows; or they hold
-    arbitrary frame indices."""
+    arbitrary frame indices; or they are None, the default of one window
+    holding all of a."""
     frames = draw(st.integers(1, 10))
     n, m, d = draw(st.integers(1, frames)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
     step = draw(st.integers(1, n + 1))
@@ -441,7 +424,10 @@ def dtw_windows(draw):
         windows = draw(hnp.arrays(np.intp, windows.shape, elements=st.integers(0, frames - 1)))
     if draw(st.booleans()):
         windows = windows[0]  # one window: the batch is b's alone
-    batch_b = draw(st.sampled_from([(), (draw(st.integers(1, 3)), 1), windows.shape[:-1]]))
+    if draw(st.integers(0, 3)) == 0:
+        windows = None
+    batch_w = () if windows is None else windows.shape[:-1]
+    batch_b = draw(st.sampled_from([(), (draw(st.integers(1, 3)), 1), batch_w]))
     if draw(st.booleans()):
         elements = st.integers(-2, 2).map(float)
     else:
@@ -453,62 +439,28 @@ def dtw_windows(draw):
 
 class TestDtw:
     @given(
-        dtw_batches(),
-        st.sampled_from([1, 40, spotter._BLOCK_CELLS]),
-        st.sampled_from([1, 40, spotter._DIFF_VALUES]),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_batched_equals_loop_reference(self, case, block_cells, diff_values):
-        # small limits split the pairs across several blocks and chunks
-        a, b, batch = case
-        with (
-            mock.patch.object(spotter, "_BLOCK_CELLS", block_cells),
-            mock.patch.object(spotter, "_DIFF_VALUES", diff_values),
-        ):
-            got = spotter.dtw_distance(a, b)
-        if not batch:
-            assert isinstance(got, float)
-            assert got == loop_dtw(a, b)
-            return
-        assert got.shape == batch
-        a, b = np.broadcast_to(a, batch + a.shape[-2:]), np.broadcast_to(b, batch + b.shape[-2:])
-        for index in np.ndindex(batch):
-            assert got[index] == loop_dtw(a[index], b[index])
-
-    @given(
-        hnp.arrays(np.float64, st.integers(1, 8), elements=st.integers(-3, 3).map(float)),
-        hnp.arrays(np.float64, st.integers(1, 8), elements=st.floats(-10.0, 10.0)),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_one_dimensional_sequences(self, a, b):
-        got = spotter.dtw_distance(a, b)
-        assert isinstance(got, float)
-        assert got == loop_dtw(a, b)
-        assert spotter.dtw_distance(a, a) == loop_dtw(a, a)
-
-    @given(
         dtw_windows(),
         st.sampled_from([1, 40, spotter._BLOCK_CELLS]),
         st.sampled_from([1, 40, spotter._DIFF_VALUES]),
     )
     @settings(max_examples=150, deadline=None)
     def test_windowed_equals_gathered_and_loop_reference(self, case, block_cells, diff_values):
-        # the windowed form shares one frame distance table across windows;
-        # small limits split its table, gathers and wavefront into pieces
+        # every window shares one frame distance table; small limits split
+        # the table, its gathers and the wavefront into pieces
         a, b, windows = case
         with (
             mock.patch.object(spotter, "_BLOCK_CELLS", block_cells),
             mock.patch.object(spotter, "_DIFF_VALUES", diff_values),
         ):
             got = spotter.dtw_distance(a, b, windows=windows)
-        gathered = spotter.dtw_distance(a[windows], b)
+        if windows is None:
+            windows = np.arange(len(a))
         batch = np.broadcast_shapes(windows.shape[:-1], b.shape[:-2])
         if not batch:
             assert isinstance(got, float)
-            assert got == gathered == loop_dtw(a[windows], b)
+            assert got == loop_dtw(a[windows], b)
             return
         assert got.shape == batch
-        assert got.tobytes() == gathered.tobytes()
         windows = np.broadcast_to(windows, batch + windows.shape[-1:])
         b = np.broadcast_to(b, batch + b.shape[-2:])
         for index in np.ndindex(batch):
@@ -528,6 +480,10 @@ class TestDtw:
         with pytest.raises(error):
             spotter.dtw_distance(a, np.zeros((3, 2)), windows=windows)
 
+    def test_one_dimensional_b_rejected(self):
+        with pytest.raises(ParameterError):
+            spotter.dtw_distance(np.zeros((5, 2)), np.zeros(3), windows=[[0, 1]])
+
     def test_identity_zero(self):
         seq = np.random.default_rng(0).normal(size=(10, 13))
         assert spotter.dtw_distance(seq, seq) == 0.0
@@ -538,8 +494,9 @@ class TestDtw:
         assert spotter.dtw_distance(a, b) == pytest.approx(spotter.dtw_distance(b, a))
 
     def test_canonical_example(self):
-        assert spotter.dtw_distance([0.0, 0.0, 1.0], [0.0, 1.0]) == 0.0
-        assert oracle_dtw([0.0, 0.0, 1.0], [0.0, 1.0]) == 0.0
+        a, b = [[0.0], [0.0], [1.0]], [[0.0], [1.0]]
+        assert spotter.dtw_distance(a, b) == 0.0
+        assert oracle_dtw(a, b) == 0.0
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(2)
@@ -598,7 +555,7 @@ class TestSpotKeywords:
             ("insult", spotter.extract_mfcc(sine(2000.0, duration_s=0.3))),
             ("porn", self._template(500.0)),
         ]
-        features = spotter.extract_mfcc(clip).vectors
+        features = spotter.extract_mfcc(clip)
         assert len(features) == 98  # 38-frame windows start at 0, 10, ..., 60
         expected = loop_sweep(features, templates, 38, range(0, 61, 10))
         assert spotter._sweep(clip, templates, 0.4, 0.1) == expected
@@ -618,7 +575,7 @@ class TestSpotKeywords:
         cut = words["porn__moan.wav"].samples[:, : int(0.3 * RATE)]
         templates.insert(1, ("porn", spotter.extract_mfcc(AudioBuffer(cut, RATE))))
         assert sorted({len(t) for _, t in templates}) == [28, 38]
-        features = spotter.extract_mfcc(clip).vectors
+        features = spotter.extract_mfcc(clip)
         assert len(features) == 323
         starts = [*range(0, 281, 10), 285]
         expected = loop_sweep(features, templates, 38, starts)
@@ -635,7 +592,7 @@ class TestSpotKeywords:
         # silence: every window is the same, and the sweep reports the
         # distance of the one at start 0
         silence = AudioBuffer(np.zeros(RATE), RATE)
-        features = spotter.extract_mfcc(silence).vectors
+        features = spotter.extract_mfcc(silence)
         assert spotter._sweep(silence, [("porn", template)], 0.4, 0.1) == (
             loop_dtw(features[:38], template), "porn"
         )

@@ -14,11 +14,12 @@ import pytest
 
 import audiomorph
 from audiomorph import __version__, cli
-from audiomorph.audio import content_digest, read_wav, rms, write_wav
+from audiomorph.audio import content_digest, read_wav, write_wav
 from audiomorph.backends.fixture import save_fixtures
 from audiomorph.backends import Category, Verdict
 from audiomorph.perturb import OPS, Perturbation
 from .conftest import sine
+from .oracles import rms
 
 
 def run_cli(capsys, *argv):

@@ -271,6 +271,20 @@ class TestFileFormats:
         t = lng.load_transcript(path)
         assert t.tokens == ("son", "bitch") and t.alignment is None
 
+    @pytest.mark.parametrize(
+        "t",
+        [
+            T("son", "of", "a", "bitch",
+              alignment=((0.0, 0.1), (0.1, 0.25), (0.3, 1 / 3), (0.4, 0.9))),
+            T("son", "of", "a", "bitch"),
+        ],
+        ids=["aligned", "unaligned"],
+    )
+    def test_transcript_save_load_round_trip(self, tmp_path, t):
+        path = tmp_path / "t.tsv"
+        lng.save_transcript(t, path)
+        assert lng.load_transcript(path) == t
+
     def test_transcript_mixed_rejected(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("son\t0.0\t0.4\nbitch\n", encoding="utf-8")

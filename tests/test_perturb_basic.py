@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from audiomorph.audio import AudioBuffer, dominant_frequency, measure_snr, rms
+from audiomorph.audio import AudioBuffer
 from audiomorph.errors import DomainError, ParameterError
 from audiomorph.perturb import basic
 from .conftest import envelope_period_s, sine, stereo_sine
+from .oracles import dominant_frequency, measure_snr, rms
 
 RATE = 16000
 

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from audiomorph.audio import AudioBuffer, rms, spectrum
+from audiomorph.audio import AudioBuffer
 from audiomorph.errors import ParameterError
 from audiomorph.perturb import compound
 from .conftest import envelope_period_s, sine
+from .oracles import rms, spectrum
 
 RATE = 16000
 
