@@ -13,6 +13,11 @@ pairs at once, one anti-diagonal at a time. Two tie-break rules fix the
 answer exactly: inside the DP, among minimum-cost alignments the shortest
 path wins; across pairs, the first in (template, start) order wins, so a
 later pair must be strictly closer to replace it.
+
+A frame distance sums its squared coefficient differences in an order
+written into this module (``_pairwise_sum``, the order numpy's ``np.sum``
+used when the desk outputs were recorded), so the distances, and the
+confidences they become, do not rest on numpy's reduction order.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import re
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..audio import AudioBuffer, read_wav
 from ..errors import ConfigError, DomainError, ParameterError
@@ -43,7 +49,7 @@ _LOG_FLOOR = 1e-30
 # however many windows a long clip has: the wavefront runs over blocks of at
 # most _BLOCK_CELLS DP cells (2 MB of complex steps), and frame distances
 # are formed from difference arrays of at most _DIFF_VALUES values (0.5 MB)
-# unless one frame against all of m frames needs more
+# unless one frame against every template frame needs more
 _BLOCK_CELLS = 1 << 17
 _DIFF_VALUES = 1 << 16
 
@@ -56,9 +62,9 @@ def _mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel) / 2595.0) - 1.0)
 
 
-# extract_mfcc's matrices depend only on the rate, so they are built once
-# per rate (a few rates at most; the bound only caps odd corpora) and
-# shared read-only
+# extract_mfcc's matrices and window depend only on the rate, so they are
+# built once per rate (a few rates at most; the bound only caps odd corpora)
+# and shared read-only
 @functools.lru_cache(maxsize=16)
 def _mel_filterbank(rate: int) -> np.ndarray:
     """Triangular filters evaluated on the rfft bin grid."""
@@ -89,6 +95,13 @@ def _dct_matrix(n_out: int, n_in: int) -> np.ndarray:
     return matrix
 
 
+@functools.lru_cache(maxsize=16)
+def _hamming(frame_len: int) -> np.ndarray:
+    window = np.hamming(frame_len)
+    window.flags.writeable = False
+    return window
+
+
 def extract_mfcc(audio: AudioBuffer) -> np.ndarray:
     """13 MFCCs per frame: 25 ms frames at a 10 ms hop, pre-emphasis 0.97,
     Hamming window, 512-point FFT, 26 mel filters, log, orthonormal DCT-II.
@@ -106,9 +119,7 @@ def extract_mfcc(audio: AudioBuffer) -> np.ndarray:
     emphasized[0] = mono[0]
     emphasized[1:] = mono[1:] - PRE_EMPHASIS * mono[:-1]
 
-    n_frames = (mono.size - frame_len) // hop + 1
-    idx = np.arange(frame_len)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = emphasized[idx] * np.hamming(frame_len)
+    frames = sliding_window_view(emphasized, frame_len)[::hop] * _hamming(frame_len)
     power = np.abs(np.fft.rfft(frames, FFT_SIZE, axis=1)) ** 2
     mel_energy = power @ _mel_filterbank(rate).T
     log_mel = np.log(np.maximum(mel_energy, _LOG_FLOOR))
@@ -135,11 +146,17 @@ def dtw_distance(a, b, *, windows=None):
     fa, fb = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if fa.ndim != 2 or fb.ndim < 2:
         raise ParameterError("dtw needs a (frames, d) sequence and (..., m, d) ones")
+    if fa.shape[-1] != fb.shape[-1]:
+        raise ParameterError(
+            f"dtw sequences differ in coefficient count: {fa.shape[-1]} and {fb.shape[-1]}"
+        )
     rows = np.arange(len(fa)) if windows is None else np.asarray(windows)
     if rows.ndim == 0 or rows.dtype.kind not in "iu":
         raise ParameterError("dtw windows must be an integer (..., n) index array")
     if fa.size == 0 or fb.size == 0 or rows.size == 0:
         raise DomainError("dtw needs two nonempty sequences")
+    if rows.min() < 0 or rows.max() >= len(fa):
+        raise ParameterError(f"dtw window indices must lie in [0, {len(fa)})")
     n, m = rows.shape[-1], fb.shape[-2]
     batch = np.broadcast_shapes(rows.shape[:-1], fb.shape[:-2])
     # table[t, f, j]: frame f of a against frame j of the t-th sequence of b
@@ -161,20 +178,79 @@ def dtw_distance(a, b, *, windows=None):
 
 def _local_distances(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
     """Euclidean distance of every frame pair: ``(t, n, m)`` for ``(n, d)``
-    against ``(t, m, d)``, formed one template and a few frames of ``fa``
-    at a time."""
+    against ``(t, m, d)``, formed a few frames of ``fa`` at a time. The
+    squared coefficient differences are summed by ``_pairwise_sum``."""
     n, (t, m, d) = fa.shape[0], fb.shape
-    rows = max(1, _DIFF_VALUES // (m * d))  # frames of fa per difference array
-    diff = np.empty((min(rows, n), m, d))  # reused: saves page faults
+    rows = max(1, _DIFF_VALUES // (t * m * d))  # frames of fa per difference array
+    # coefficient-major, so each coefficient's differences are one array
+    fa_by_coefficient = fa.T[:, np.newaxis, :, np.newaxis]
+    fb_by_coefficient = fb.transpose(2, 0, 1)[:, :, np.newaxis, :]
+    squares = np.empty((d, t, min(rows, n), m))  # reused: saves page faults
     local = np.empty((t, n, m))
-    for template, out in zip(fb, local):
-        for first in range(0, n, rows):
-            last = min(first + rows, n)
-            part = diff[: last - first]
-            np.subtract(fa[first:last, np.newaxis, :], template[np.newaxis], out=part)
-            np.multiply(part, part, out=part)
-            np.sum(part, axis=-1, out=out[first:last])
-    return np.sqrt(local, out=local)
+    for first in range(0, n, rows):
+        last = min(first + rows, n)
+        part = squares[:, :, : last - first]
+        np.subtract(fa_by_coefficient[:, :, first:last], fb_by_coefficient, out=part)
+        np.multiply(part, part, out=part)
+        np.sqrt(_pairwise_sum(part), out=local[:, first:last])
+    return local
+
+
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum of ``terms`` over axis 0, added in place in numpy's pairwise
+    order: fewer than 8 terms in sequence; up to 128 terms as 8 running
+    partial sums, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
+    tail one term at a time; more than 128 as the sum of two halves, the
+    first a multiple of 8 long. Returns ``terms[0]``, which holds the sum.
+    The order is written here, not left to ``np.sum``, so the spotter's
+    distances do not depend on how a numpy release reduces."""
+    n = len(terms)
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        total = _pairwise_sum(terms[:half])
+        total += _pairwise_sum(terms[half:])
+        return total
+    if n < 8:
+        # numpy starts from 0.0; starting from the first term differs only
+        # for a -0.0 there, which a square never is
+        for term in terms[1:]:
+            terms[0] += term
+        return terms[0]
+    blocks = n - n % 8
+    for i in range(8, blocks, 8):
+        terms[:8] += terms[i : i + 8]
+    terms[0:8:2] += terms[1:8:2]
+    terms[0:8:4] += terms[2:8:4]
+    terms[0] += terms[4]
+    for term in terms[blocks:]:
+        terms[0] += term
+    return terms[0]
+
+
+# _wavefront's per-diagonal indices depend only on the pair shape (n, m):
+# a few shapes per template set (the bound only caps odd callers)
+@functools.lru_cache(maxsize=64)
+def _schedule(n: int, m: int) -> Tuple[tuple, ...]:
+    """For each anti-diagonal k = 3 .. n + m of the (n + 1) x (m + 1) DP
+    table, whose cells i = lo..hi it computes: the indices into
+    ``diagonals`` of their diagonal, up and left neighbours and of the
+    cells themselves, and the slice of ``steps`` rows they enter."""
+    # rows of steps are cells (i, j) in row-major order, so the cells of one
+    # anti-diagonal i + j are rows evenly spaced m - 1 apart
+    spacing = max(m - 1, 1)
+    plan = []
+    for k in range(3, n + m + 1):
+        lo, hi = max(1, k - m), min(n, k - 1)
+        first = (lo - 1) * m + (k - lo - 1)  # row of cell (lo, k - lo)
+        plan.append((
+            ((k - 2) % 3, slice(lo - 1, hi)),
+            ((k - 1) % 3, slice(lo - 1, hi)),
+            ((k - 1) % 3, slice(lo, hi + 1)),
+            (k % 3, slice(lo, hi + 1)),
+            slice(first, first + (hi - lo) * spacing + 1, spacing),
+        ))
+    return tuple(plan)
 
 
 def _wavefront(local: np.ndarray) -> np.ndarray:
@@ -189,9 +265,6 @@ def _wavefront(local: np.ndarray) -> np.ndarray:
     steps = np.empty((n * m, pairs), dtype=np.complex128)
     steps.real = local.reshape(pairs, n * m).T
     steps.imag = 1.0
-    # rows of steps are cells (i, j) in row-major order, so the cells of one
-    # anti-diagonal i + j are rows evenly spaced m - 1 apart
-    spacing = max(m - 1, 1)
 
     # diagonals[k % 3, i] is cell (i, k - i) of the (n + 1) x (m + 1) table,
     # since a cell reads only anti-diagonals k - 1 and k - 2. Row 0 and
@@ -201,14 +274,12 @@ def _wavefront(local: np.ndarray) -> np.ndarray:
     # distance, length 1.
     diagonals = np.full((3, n + 1, pairs), complex(math.inf, 0.0))
     diagonals[2, 1] = steps[0]
-    for k in range(3, n + m + 1):
-        lo, hi = max(1, k - m), min(n, k - 1)
-        before, last = diagonals[(k - 2) % 3], diagonals[(k - 1) % 3]
-        first = (lo - 1) * m + (k - lo - 1)  # row of cell (lo, k - lo)
-        entered = steps[first : first + (hi - lo) * spacing + 1 : spacing]
-        # neighbours of cells lo..hi: diagonal, up, then left
-        best = np.minimum(np.minimum(before[lo - 1 : hi], last[lo - 1 : hi]), last[lo : hi + 1])
-        np.add(best, entered, out=diagonals[k % 3, lo : hi + 1])
+    for diagonal, up, left, cells, entered in _schedule(n, m):
+        # neighbours of the cells: diagonal, up, then left
+        best = diagonals[cells]
+        np.minimum(diagonals[diagonal], diagonals[up], out=best)
+        np.minimum(best, diagonals[left], out=best)
+        np.add(best, steps[entered], out=best)
     end = diagonals[(n + m) % 3, n]
     return end.real / end.imag
 

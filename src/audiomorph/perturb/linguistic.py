@@ -203,9 +203,12 @@ def _discontinuity_sites(
     tokens: Sequence[str], targets: Iterable[str], repeats: int
 ) -> List[int]:
     """The discontinuity ops' site rule: indices of the tokens directly
-    preceding a target (case-insensitive), once ``repeats`` is checked."""
+    preceding a target (case-insensitive), once ``repeats`` and ``targets``
+    are checked."""
     if not (isinstance(repeats, (int, np.integer)) and repeats >= 1):
         raise ParameterError(f"repeats must be an integer >= 1, got {repeats}")
+    if isinstance(targets, str):
+        raise ParameterError(f"targets must be a list of words, not the string {targets!r}")
     target_set = {w.lower() for w in targets}
     return [i for i in range(len(tokens) - 1) if tokens[i + 1].lower() in target_set]
 

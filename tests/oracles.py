@@ -1,6 +1,6 @@
 """Signal measurements the perturbation tests use as oracles: RMS, a
 Hann-windowed spectrum of the mono mixdown (channel mean), its dominant
-frequency, and SNR."""
+frequency, and SNR; and the spotter's summation order over plain floats."""
 
 from __future__ import annotations
 
@@ -74,3 +74,32 @@ def measure_snr(signal: AudioBuffer, noisy: AudioBuffer) -> float:
     if signal_rms == 0.0:
         return -math.inf
     return 20.0 * math.log10(signal_rms / noise_rms)
+
+
+def pairwise_sum(terms) -> float:
+    """Sum of a list of Python floats in numpy's pairwise order: fewer than
+    8 terms in sequence from 0.0; up to 128 terms as 8 running partial
+    sums, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail in
+    sequence; more than 128 as the sum of two halves, the first a multiple
+    of 8 long."""
+    n = len(terms)
+    if n < 8:
+        total = 0.0
+        for term in terms:
+            total += term
+        return total
+    if n <= 128:
+        partial = list(terms[:8])
+        blocks = n - n % 8
+        for i in range(8, blocks, 8):
+            for j in range(8):
+                partial[j] += terms[i + j]
+        total = ((partial[0] + partial[1]) + (partial[2] + partial[3])) + (
+            (partial[4] + partial[5]) + (partial[6] + partial[7])
+        )
+        for term in terms[blocks:]:
+            total += term
+        return total
+    half = n // 2
+    half -= half % 8
+    return pairwise_sum(terms[:half]) + pairwise_sum(terms[half:])

@@ -43,6 +43,7 @@ from audiomorph.errors import (
 from audiomorph.perturb import basic
 from .conftest import sine
 from .mockserver import MockModerationServer
+from .oracles import pairwise_sum
 
 RATE = 16000
 
@@ -335,6 +336,13 @@ class TestExtractMfcc:
         assert dct.tobytes() == fresh_dct.tobytes()
         with pytest.raises(ValueError):
             bank[0, 0] = 1.0
+        frame_len = int(round(spotter.FRAME_S * rate))
+        window = spotter._hamming(frame_len)
+        assert spotter._hamming(frame_len) is window
+        assert not window.flags.writeable
+        assert window.tobytes() == np.hamming(frame_len).tobytes()
+        with pytest.raises(ValueError):
+            window[0] = 1.0
 
 
 def oracle_dtw(a, b):
@@ -474,6 +482,10 @@ class TestDtw:
             (np.zeros((5, 2)), 0, ParameterError),
             (np.zeros((5, 2)), np.zeros((1, 0), dtype=int), DomainError),
             (np.zeros((0, 2)), [[0, 1]], DomainError),
+            (np.zeros((5, 1)), [[0, 1]], ParameterError),  # b's frames have 2 coefficients
+            (np.zeros((5, 2)), [-1, 0], ParameterError),  # would wrap to the last frame
+            (np.zeros((5, 2)), [4, 5], ParameterError),
+            (np.zeros((5, 2)), [[0, 1], [2, 7]], ParameterError),
         ],
     )
     def test_windowed_rejects_bad_inputs(self, a, windows, error):
@@ -508,6 +520,29 @@ class TestDtw:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             spotter.dtw_distance(np.zeros((0, 13)), np.zeros((3, 13)))
+
+    @given(
+        st.integers(1, 300),
+        st.integers(1, 4),
+        st.integers(1, 2),
+        st.integers(1, 3),
+        st.sampled_from([1, 40, 1000]),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_local_distances_sum_in_pairwise_order(self, d, n, t, m, diff_values, data):
+        # every branch of the summation order: d < 8, 8 <= d <= 128 with and
+        # without a tail, and d > 128 split in halves; the table is formed in
+        # row chunks of a few frames
+        elements = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+        fa = data.draw(hnp.arrays(np.float64, (n, d), elements=elements))
+        fb = data.draw(hnp.arrays(np.float64, (t, m, d), elements=elements))
+        with mock.patch.object(spotter, "_DIFF_VALUES", diff_values):
+            got = spotter._local_distances(fa, fb)
+        assert got.shape == (t, n, m)
+        for k, i, j in np.ndindex(t, n, m):
+            squares = [(x - y) * (x - y) for x, y in zip(fa[i].tolist(), fb[k, j].tolist())]
+            assert got[k, i, j] == math.sqrt(pairwise_sum(squares))
 
 
 class TestSpotKeywords:

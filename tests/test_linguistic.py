@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from audiomorph.audio import AudioBuffer
 from audiomorph.errors import ConfigError, DomainError, ParameterError
+from audiomorph.perturb import Perturbation
 from audiomorph.perturb import linguistic as lng
 
 RATE = 16000
@@ -188,6 +189,10 @@ class TestDiscontinuityText:
         growth_per_site = (repeats - 1) + repeats  # extra copies + markers
         assert len(out.tokens) == len(tokens) + sites * growth_per_site
 
+    def test_string_targets_rejected(self):
+        with pytest.raises(ParameterError, match="targets"):
+            lng.benign_discontinuity_text(T("a", "bitch"), "bitch", "...", repeats=2)
+
     def test_target_never_removed(self):
         # the first "bitch" both is a target and precedes one, so it gains
         # an extra copy; no occurrence is ever dropped or altered
@@ -231,6 +236,16 @@ class TestDiscontinuityAudio:
         # both copies carry the source span verbatim
         copy2 = out.samples[:, start + span + gap : start + 2 * span + gap]
         assert np.array_equal(copy2, audio.samples[:, start : start + span])
+
+    def test_string_targets_rejected(self):
+        # a bare string would be read character by character, so no token
+        # matches and the relation would return its input unchanged
+        audio, t = self._fixture()
+        relation = Perturbation.from_dict(
+            {"kind": "discontinuity", "params": {"targets": "bitch", "gap_s": 0.5, "repeats": 2}}
+        )
+        with pytest.raises(ParameterError, match="targets"):
+            relation.apply(audio, t)
 
     def test_missing_alignment_rejected(self):
         audio, _ = self._fixture()
