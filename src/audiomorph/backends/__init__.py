@@ -59,13 +59,14 @@ class Verdict:
 
 
 class ModerationBackend:
-    """Interface every backend implements. ``moderate`` is total: it
-    returns exactly one Verdict or raises one of the typed backend
-    errors (unavailable / missing fixture / mapping)."""
+    """Interface every backend implements. ``moderate`` is total: it returns
+    exactly one Verdict or raises one of the typed backend errors
+    (unavailable / missing fixture / mapping). ``digest`` is
+    ``content_digest(audio)``, computed once by the caller."""
 
     name: str = "backend"
 
-    def moderate(self, audio: AudioBuffer) -> Verdict:
+    def moderate(self, audio: AudioBuffer, digest: str) -> Verdict:
         raise NotImplementedError
 
 

@@ -7,9 +7,10 @@ declarative template instead of per-vendor code:
   environment variables as ``${env:NAME}``; secrets never live in the
   config file itself.
 * ``body``: JSON template; string values may use the placeholders
-  ``${audio_base64}``, ``${sample_rate}``, ``${digest}`` and
-  ``${duration_s}``. With ``audio_encoding: multipart`` the WAV bytes go
-  as a file part instead and ``body`` supplies the form fields.
+  ``${audio_base64}``, ``${sample_rate}``, ``${duration_s}`` and
+  ``${digest}``, the content digest the caller passes to ``moderate``.
+  With ``audio_encoding: multipart`` the WAV bytes go as a file part
+  instead and ``body`` supplies the form fields.
 * ``response_mapping``: ``path`` is a dotted route into the JSON reply
   (list indices allowed); ``categories`` maps provider labels onto
   verdict categories; optional ``confidence_path`` likewise.
@@ -29,7 +30,8 @@ from typing import Any, Mapping, Optional
 
 import requests
 
-from ..audio import AudioBuffer, content_digest, wav_bytes
+from ..audio import AudioBuffer, wav_bytes
+from ..audio import content_digest  # unused; perfbench/tracing.py patches it here
 from ..errors import BackendUnavailableError, ConfigError, ResponseMappingError
 from . import Category, ModerationBackend, Verdict
 from .ratelimit import RateLimiter
@@ -132,12 +134,12 @@ class HttpBackend(ModerationBackend):
         self._timeout_s = float(timeout_s)
         self._session = requests.Session()
 
-    def moderate(self, audio: AudioBuffer) -> Verdict:
+    def moderate(self, audio: AudioBuffer, digest: str) -> Verdict:
         blob = wav_bytes(audio)
         context = {
             "audio_base64": base64.b64encode(blob).decode("ascii"),
             "sample_rate": str(audio.sample_rate),
-            "digest": content_digest(audio),
+            "digest": digest,
             "duration_s": f"{audio.duration:.6f}",
         }
         url = _substitute(self._endpoint, context)

@@ -399,7 +399,7 @@ class KeywordSpotterBackend(ModerationBackend):
         self._window_s = float(window_s)
         self._hop_s = float(hop_s)
 
-    def moderate(self, audio: AudioBuffer) -> Verdict:
+    def moderate(self, audio: AudioBuffer, digest: str) -> Verdict:
         return spot_keywords(
             audio, self._templates, self._window_s, self._hop_s, self._threshold
         )

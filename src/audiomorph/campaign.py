@@ -280,13 +280,11 @@ class VerdictStore:
         self._lock = threading.Lock()
         self._answers: Dict[Tuple[str, str], Future] = {}
 
-    def ask_all(self, digest: str, audio: AudioBuffer) -> Tuple[Optional[Verdict], ...]:
+    def ask_all(self, audio: AudioBuffer, digest: str) -> Tuple[Optional[Verdict], ...]:
         """One verdict per backend, in backend order."""
-        return tuple(self._ask(backend, digest, audio) for backend in self.backends)
+        return tuple(self._ask(backend, audio, digest) for backend in self.backends)
 
-    def _ask(
-        self, backend: ModerationBackend, digest: str, audio: AudioBuffer
-    ) -> Optional[Verdict]:
+    def _ask(self, backend: ModerationBackend, audio: AudioBuffer, digest: str) -> Optional[Verdict]:
         key = (backend.name, digest)
         with self._lock:
             answer = self._answers.get(key)
@@ -295,7 +293,7 @@ class VerdictStore:
                 answer = self._answers[key] = Future()
         if first:
             try:
-                answer.set_result(backend.moderate(audio))
+                answer.set_result(backend.moderate(audio, digest))
             except _CASE_ERRORS:
                 answer.set_result(None)
             except BaseException as exc:
@@ -339,7 +337,7 @@ def filter_seeds(
     if not verdicts.backends:
         raise CampaignError("no backends configured")
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        answers = list(pool.map(lambda s: verdicts.ask_all(s.digest, s.audio), seeds))
+        answers = list(pool.map(lambda s: verdicts.ask_all(s.audio, s.digest), seeds))
 
     names = [b.name for b in verdicts.backends]
     per_backend = {
@@ -402,7 +400,7 @@ def _run_cases(
         artifact = f"artifacts/{digest}.wav"
         _write_artifact(perturbed, config.output_dir / artifact)
         case = TestCase(seed.spec.seed_id, mr, digest, artifact, seed.spec.category)
-        return case, verdicts.ask_all(digest, perturbed)
+        return case, verdicts.ask_all(perturbed, digest)
 
     jobs = [(s, m) for s in seeds for m in config.mrs]
     with ThreadPoolExecutor(max_workers=config.workers) as pool:

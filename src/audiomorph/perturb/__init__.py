@@ -67,12 +67,15 @@ class Perturbation:
         if not isinstance(self.params, Mapping):
             raise ParameterError(f"{kind}: 'params' must be an object, got {self.params!r}")
         object.__setattr__(self, "params", dict(self.params))
-        # parameter names fail here, at config load; values fail on apply
+        # parameter names fail here, at config load, as does a string `targets`,
+        # which an op would read letter by letter; other values fail on apply
         placeholders = {"transcript": None} if self.needs_transcript else {}
         try:
             _signature(kind).bind(None, **placeholders, **self.params)
         except TypeError as exc:
             raise ParameterError(f"{kind}: {exc}") from exc
+        if isinstance(self.params.get("targets"), str):
+            raise ParameterError(f"{kind}: targets must be a list of words, not a string")
 
     @property
     def needs_transcript(self) -> bool:

@@ -6,6 +6,7 @@ import ast
 import sys
 from pathlib import Path
 
+import audiomorph.backends as backends_package
 import audiomorph.perturb.compound as compound_module
 
 _ALLOWED_ABSOLUTE = {"numpy", "math"}
@@ -66,3 +67,17 @@ def test_compound_does_not_touch_backends_or_harness():
     for banned in ("backends", "campaign", "linguistic", "cli", "deskcorpus"):
         hits = {name for name in imported_names if banned in name.split(".")}
         assert not hits, f"compound module imports {sorted(hits)}"
+
+
+def test_backends_never_compute_content_digest():
+    # the campaign digests each clip once and hands the digest to
+    # `moderate`; importing the name is allowed, calling it is not
+    for path in sorted(Path(backends_package.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "content_digest"
+        ]
+        assert not lines, f"backends/{path.name} calls content_digest on line(s) {lines}"

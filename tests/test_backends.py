@@ -73,7 +73,7 @@ class TestFixtureBackend:
         path = tmp_path / "fx.json"
         save_fixtures(path, {content_digest(tone_440): Verdict(Category.PORN, 0.9)})
         backend = FixtureBackend.from_file(path, name="fx")
-        verdict = backend.moderate(tone_440)
+        verdict = backend.moderate(tone_440, content_digest(tone_440))
         assert verdict.category is Category.PORN
         assert verdict.confidence == 0.9
 
@@ -81,7 +81,7 @@ class TestFixtureBackend:
         path = tmp_path / "fx.json"
         save_fixtures(path, {})
         with pytest.raises(MissingFixtureError):
-            FixtureBackend.from_file(path).moderate(tone_440)
+            FixtureBackend.from_file(path).moderate(tone_440, content_digest(tone_440))
 
     def test_bad_json(self, tmp_path):
         path = tmp_path / "fx.json"
@@ -104,11 +104,18 @@ class TestFixtureBackend:
             FixtureBackend.from_file(path)
         assert err.value.field == "confidence"
 
+    def test_lookup_uses_the_digest_it_is_handed(self, tone_440):
+        # the clip is never hashed: another clip with tone_440's digest gets
+        # tone_440's recorded verdict
+        backend = FixtureBackend({content_digest(tone_440): Verdict(Category.PORN, 0.9)})
+        other = sine(880.0)
+        assert backend.moderate(other, content_digest(tone_440)) == Verdict(Category.PORN, 0.9)
+
     def test_deterministic_across_instances(self, tmp_path, tone_440):
         path = tmp_path / "fx.json"
         save_fixtures(path, {content_digest(tone_440): Verdict(Category.SPAM)})
-        a = FixtureBackend.from_file(path).moderate(tone_440)
-        b = FixtureBackend.from_file(path).moderate(tone_440)
+        a = FixtureBackend.from_file(path).moderate(tone_440, content_digest(tone_440))
+        b = FixtureBackend.from_file(path).moderate(tone_440, content_digest(tone_440))
         assert a.category is b.category
 
 
@@ -194,7 +201,7 @@ class TestHttpBackend:
     def test_maps_label_and_confidence(self, tone_440):
         plan = lambda i, body: (200, {"result": {"label": "abuse", "score": 0.87}})
         with MockModerationServer(plan) as server:
-            verdict = _backend(server).moderate(tone_440)
+            verdict = _backend(server).moderate(tone_440, content_digest(tone_440))
         assert verdict.category is Category.INSULT
         assert verdict.confidence == pytest.approx(0.87)
 
@@ -204,7 +211,7 @@ class TestHttpBackend:
                 server,
                 body={"clip": "${audio_base64}", "rate": "${sample_rate}", "id": "${digest}"},
             )
-            backend.moderate(tone_440)
+            backend.moderate(tone_440, content_digest(tone_440))
             _, _, _, body = server.requests[0]
         sent = json.loads(body)
         assert sent["rate"] == str(RATE)
@@ -212,11 +219,18 @@ class TestHttpBackend:
         decoded = base64.b64decode(sent["clip"])
         assert decoded[:4] == b"RIFF"
 
+    def test_digest_placeholder_is_the_callers(self, tone_440):
+        passed = "0123456789abcdef" * 4
+        with MockModerationServer() as server:
+            _backend(server, body={"id": "${digest}"}).moderate(tone_440, passed)
+            _, _, _, body = server.requests[0]
+        assert json.loads(body)["id"] == passed != content_digest(tone_440)
+
     def test_env_secret_substitution(self, tone_440, monkeypatch):
         monkeypatch.setenv("FAKE_MOD_KEY", "sk-123")
         with MockModerationServer() as server:
             backend = _backend(server, headers={"Authorization": "Bearer ${env:FAKE_MOD_KEY}"})
-            backend.moderate(tone_440)
+            backend.moderate(tone_440, content_digest(tone_440))
             _, _, headers, _ = server.requests[0]
         assert headers["Authorization"] == "Bearer sk-123"
 
@@ -225,26 +239,26 @@ class TestHttpBackend:
         with MockModerationServer() as server:
             backend = _backend(server, headers={"X-Key": "${env:NO_SUCH_SECRET_VAR}"})
             with pytest.raises(ConfigError) as err:
-                backend.moderate(tone_440)
+                backend.moderate(tone_440, content_digest(tone_440))
         assert err.value.field == "NO_SUCH_SECRET_VAR"
 
     def test_retries_then_succeeds(self, tone_440):
         responses = iter([(500, {}), (200, {"result": {"label": "ok", "score": 0.1}})])
         with MockModerationServer(lambda i, b: next(responses)) as server:
-            verdict = _backend(server).moderate(tone_440)
+            verdict = _backend(server).moderate(tone_440, content_digest(tone_440))
             assert len(server.requests) == 2
         assert verdict.category is Category.NON_TOXIC
 
     def test_exhausted_retries_unavailable(self, tone_440):
         with MockModerationServer(lambda i, b: (503, {})) as server:
             with pytest.raises(BackendUnavailableError):
-                _backend(server, max_attempts=2).moderate(tone_440)
+                _backend(server, max_attempts=2).moderate(tone_440, content_digest(tone_440))
             assert len(server.requests) == 2
 
     def test_permanent_4xx_not_retried(self, tone_440):
         with MockModerationServer(lambda i, b: (404, {})) as server:
             with pytest.raises(BackendUnavailableError):
-                _backend(server).moderate(tone_440)
+                _backend(server).moderate(tone_440, content_digest(tone_440))
             assert len(server.requests) == 1
 
     def test_connection_refused_unavailable(self, tone_440):
@@ -257,27 +271,27 @@ class TestHttpBackend:
             timeout_s=0.5,
         )
         with pytest.raises(BackendUnavailableError):
-            backend.moderate(tone_440)
+            backend.moderate(tone_440, content_digest(tone_440))
 
     def test_unmapped_label(self, tone_440):
         with MockModerationServer(lambda i, b: (200, {"result": {"label": "weird", "score": 0}})) as server:
             with pytest.raises(ResponseMappingError):
-                _backend(server).moderate(tone_440)
+                _backend(server).moderate(tone_440, content_digest(tone_440))
 
     def test_missing_path(self, tone_440):
         with MockModerationServer(lambda i, b: (200, {"other": 1})) as server:
             with pytest.raises(ResponseMappingError):
-                _backend(server).moderate(tone_440)
+                _backend(server).moderate(tone_440, content_digest(tone_440))
 
     def test_non_json_response(self, tone_440):
         with MockModerationServer(lambda i, b: (200, b"<html>")) as server:
             with pytest.raises(ResponseMappingError):
-                _backend(server).moderate(tone_440)
+                _backend(server).moderate(tone_440, content_digest(tone_440))
 
     def test_multipart_upload(self, tone_440):
         with MockModerationServer() as server:
             backend = _backend(server, audio_encoding="multipart", body={"kind": "audio"})
-            backend.moderate(tone_440)
+            backend.moderate(tone_440, content_digest(tone_440))
             _, _, headers, body = server.requests[0]
         assert headers["Content-Type"].startswith("multipart/form-data")
         assert b'filename="clip.wav"' in body
@@ -289,14 +303,14 @@ class TestHttpBackend:
             backend = _backend(server, response_mapping=_mapping(
                 path="results.0.label", confidence_path="results.0.score"
             ))
-            verdict = backend.moderate(tone_440)
+            verdict = backend.moderate(tone_440, content_digest(tone_440))
         assert verdict.category is Category.PORN
 
     def test_no_confidence_path(self, tone_440):
         plan = lambda i, b: (200, {"result": {"label": "ok"}})
         with MockModerationServer(plan) as server:
             backend = _backend(server, response_mapping=_mapping(confidence_path=None))
-            assert backend.moderate(tone_440).confidence is None
+            assert backend.moderate(tone_440, content_digest(tone_440)).confidence is None
 
 
 class TestExtractMfcc:
@@ -695,7 +709,7 @@ class TestBuildBackend:
         save_fixtures(path, {content_digest(tone_440): Verdict(Category.SPAM)})
         backend = build_backend({"kind": "fixture", "path": str(path), "name": "fx1"})
         assert backend.name == "fx1"
-        assert backend.moderate(tone_440).category is Category.SPAM
+        assert backend.moderate(tone_440, content_digest(tone_440)).category is Category.SPAM
 
     def test_spotter_kind(self, tmp_path):
         from audiomorph.audio import write_wav

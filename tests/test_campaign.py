@@ -79,8 +79,7 @@ class ScriptedBackend(ModerationBackend):
     def calls(self):
         return len(self.queried)
 
-    def moderate(self, audio):
-        digest = content_digest(audio)
+    def moderate(self, audio, digest):
         self.queried.append(digest)
         if digest in self.failing:
             raise BackendUnavailableError(f"{self.name} scripted failure")
@@ -92,9 +91,9 @@ class FlippingBackend(ScriptedBackend):
     """Answers from the script on a digest's first query and non_toxic on
     every repeat, like a backend whose verdicts drift between calls."""
 
-    def moderate(self, audio):
-        verdict = super().moderate(audio)
-        if self.queried.count(content_digest(audio)) > 1:
+    def moderate(self, audio, digest):
+        verdict = super().moderate(audio, digest)
+        if self.queried.count(digest) > 1:
             return Verdict(Category.NON_TOXIC, 0.75)
         return verdict
 
@@ -206,6 +205,22 @@ class TestConfig:
         assert not Perturbation("gain", {"db": 6.0}).needs_transcript
         with pytest.raises(DomainError):
             mr.apply(sine(300.0, duration_s=0.5))
+
+    def test_string_targets_rejected_before_any_query(self, tmp_path):
+        # read letter by letter, "bitch" would match no token; the relation
+        # fails at config load, so the probe queries nothing and no output
+        # directory is made
+        _, buf = _make_seed(tmp_path, "a", 300.0, "insult")
+        (tmp_path / "a.tsv").write_text("son\t0.0\t0.2\nbitch\t0.2\t0.4\n", encoding="utf-8")
+        config = self._minimal()
+        config["seeds"][0]["transcript"] = "a.tsv"
+        params = {"targets": "bitch", "gap_s": 0.1, "repeats": 2}
+        config["mrs"] = [{"kind": "discontinuity", "params": params}]
+        backend = ScriptedBackend("b", {content_digest(buf): Category.INSULT})
+        with pytest.raises(ParameterError, match="targets"):
+            run_campaign(CampaignConfig.from_dict(config, tmp_path), backends=[backend])
+        assert backend.calls == 0
+        assert not (tmp_path / "out").exists()
 
     def _minimal(self):
         return {
@@ -506,9 +521,9 @@ class TestQueryOnce:
         config = dataclasses.replace(config, seeds=seeds)
 
         class SlowBackend(ScriptedBackend):
-            def moderate(self, audio):
+            def moderate(self, audio, digest):
                 time.sleep(0.02)  # keeps the first query in flight
-                return super().moderate(audio)
+                return super().moderate(audio, digest)
 
         backend = SlowBackend("b", self._script(specs, buffers))
         report = run_campaign(config, backends=[backend])
@@ -552,9 +567,10 @@ class TestQueryOnce:
         fixture = FixtureBackend.from_file(path, name="b")
         for spec in specs:
             seed = buffers[spec.seed_id]
-            assert fixture.moderate(seed) == Verdict(spec.category, 0.75)
+            assert fixture.moderate(seed, content_digest(seed)) == Verdict(spec.category, 0.75)
+            louder = basic.gain(seed, 6.0)
             with pytest.raises(MissingFixtureError, match="recorded no answer"):
-                fixture.moderate(basic.gain(seed, 6.0))
+                fixture.moderate(louder, content_digest(louder))
 
 
 class TestExportRetrainingSet:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from audiomorph.audio import AudioBuffer
 from audiomorph.errors import ConfigError, DomainError, ParameterError
-from audiomorph.perturb import Perturbation
 from audiomorph.perturb import linguistic as lng
 
 RATE = 16000
@@ -239,13 +238,10 @@ class TestDiscontinuityAudio:
 
     def test_string_targets_rejected(self):
         # a bare string would be read character by character, so no token
-        # matches and the relation would return its input unchanged
+        # matches and the op would return its input unchanged
         audio, t = self._fixture()
-        relation = Perturbation.from_dict(
-            {"kind": "discontinuity", "params": {"targets": "bitch", "gap_s": 0.5, "repeats": 2}}
-        )
         with pytest.raises(ParameterError, match="targets"):
-            relation.apply(audio, t)
+            lng.benign_discontinuity_audio(audio, t, "bitch", 0.5, 2)
 
     def test_missing_alignment_rejected(self):
         audio, _ = self._fixture()
