@@ -18,6 +18,8 @@ from ..errors import DomainError, ParameterError
 _STRETCH_FRAME_S = 0.050
 #: cross-correlation alignment search half-width for overlap-add stretching
 _STRETCH_TOL_S = 0.005
+#: grains windowed and added at a time by the overlap-add
+_OLA_GRAINS = 32
 
 
 def _resample_linear(samples: np.ndarray, speed: float) -> np.ndarray:
@@ -32,6 +34,33 @@ def _resample_linear(samples: np.ndarray, speed: float) -> np.ndarray:
     return np.stack([np.interp(positions, grid, ch) for ch in samples])
 
 
+def _overlap_add(samples: np.ndarray, starts, window: np.ndarray, hop: int):
+    """Overlap-add of the grains ``samples[:, a:a+frame] * window`` for ``a``
+    in ``starts``, grain k placed at ``k * hop``, and of the windows alone.
+
+    Each output sample sums its grains from 0.0 in order of k, as adding
+    one grain per hop does. A grain spans up to three hop-long pieces, so
+    adding the last piece of every grain, then the one before, then the
+    first, keeps that order, and so does taking ``_OLA_GRAINS`` grains at
+    a time, which bounds the temporaries."""
+    frame = window.size
+    pieces = -(-frame // hop)
+    count = len(starts)
+    channels = samples.shape[0]
+    out = np.zeros((channels, count + pieces, hop))
+    weight = np.zeros((count + pieces, hop))
+    spans = [(r, slice(r * hop, min((r + 1) * hop, frame))) for r in reversed(range(pieces))]
+    for r, span in spans:
+        weight[r : r + count, : span.stop - span.start] += window[span]
+    grains_at = np.lib.stride_tricks.sliding_window_view(samples, frame, axis=1)
+    for k in range(0, count, _OLA_GRAINS):
+        grains = grains_at[:, starts[k : k + _OLA_GRAINS]]
+        grains *= window
+        for r, span in spans:
+            out[:, k + r : k + r + grains.shape[1], : span.stop - span.start] += grains[:, :, span]
+    return out.reshape(channels, -1), weight.reshape(-1)
+
+
 def time_stretch(x: AudioBuffer, factor: float) -> AudioBuffer:
     """Change tempo without changing pitch (overlap-add with
     cross-correlation alignment). Output duration = factor * input +-2%."""
@@ -43,9 +72,10 @@ def time_stretch(x: AudioBuffer, factor: float) -> AudioBuffer:
     n = x.frames
     n_out = max(1, int(round(n * factor)))
     frame = int(round(_STRETCH_FRAME_S * rate))
-    if n < 2 * frame or n_out < frame:
-        # clip shorter than the analysis window: interpolate (pitch contract
-        # is vacuous at this scale, duration contract still holds)
+    if frame < 2 or n < 2 * frame or n_out < frame:
+        # clip shorter than the analysis window, or a window under two
+        # samples (no hop): interpolate (pitch contract is vacuous at this
+        # scale, duration contract still holds)
         resampled = _resample_linear(x.samples, n / n_out)
         return AudioBuffer(clamp(resampled[:, :n_out]), rate)
 
@@ -53,45 +83,36 @@ def time_stretch(x: AudioBuffer, factor: float) -> AudioBuffer:
     hop = frame // 2
     tol = int(round(_STRETCH_TOL_S * rate))
     mono = x.mono_mix()
-    out = np.zeros((x.channels, n_out + frame))
-    weight = np.zeros(n_out + frame)
-
-    prev = None
-    s = 0
-    while s < n_out:
-        nominal = int(round(s / factor))
-        nominal = min(max(nominal, 0), n - frame)
-        if prev is None:
-            a = nominal
-        else:
-            # align to the natural continuation of the previous frame
-            target = prev + hop
-            ref = np.zeros(frame)
-            avail = min(frame, n - target) if target < n else 0
-            if avail > 0:
-                ref[:avail] = mono[target : target + avail]
-            lo = max(0, nominal - tol)
-            hi = min(n - frame, nominal + tol)
-            if hi <= lo or not np.any(ref):
-                a = nominal
+    starts = []
+    for s in range(0, n_out, hop):
+        a = min(max(int(round(s / factor)), 0), n - frame)
+        if starts:
+            # align to the natural continuation of the previous frame,
+            # zero-padded where it runs past the end of the clip
+            target = starts[-1] + hop
+            if target + frame <= n:
+                ref = mono[target : target + frame]
             else:
-                region = mono[lo : hi + frame]
-                scores = np.correlate(region, ref, mode="valid")
-                a = lo + int(np.argmax(scores))
-        out[:, s : s + frame] += x.samples[:, a : a + frame] * window
-        weight[s : s + frame] += window
-        prev = a
-        s += hop
+                ref = np.zeros(frame)
+                ref[: max(0, n - target)] = mono[target:]
+            lo = max(0, a - tol)
+            hi = min(n - frame, a + tol)
+            if hi > lo and np.count_nonzero(ref):
+                scores = np.correlate(mono[lo : hi + frame], ref, mode="valid")
+                a = lo + int(scores.argmax())
+        starts.append(a)
 
+    out, weight = _overlap_add(x.samples, starts, window, hop)
+    out, weight = out[:, :n_out], weight[:n_out]
     voiced = weight > 1e-8
     out[:, voiced] /= weight[voiced]
-    return AudioBuffer(clamp(out[:, :n_out]), rate)
+    return AudioBuffer(clamp(out), rate)
 
 
 def time_shift(x: AudioBuffer, delta_s: float) -> AudioBuffer:
     """Shift content by delta_s seconds (positive = later), zero-filling
     the vacated end. Duration is unchanged."""
-    if abs(delta_s) >= x.duration:
+    if not (math.isfinite(delta_s) and abs(delta_s) < x.duration):
         raise ParameterError(
             f"|delta| must be < duration ({x.duration:.3f} s), got {delta_s}"
         )
@@ -134,7 +155,7 @@ def surround(x: AudioBuffer, rotation_hz: float) -> AudioBuffer:
 def pitch_shift(x: AudioBuffer, semitones: float) -> AudioBuffer:
     """Scale all frequencies by 2^(semitones/12) while keeping duration
     within +-2% (resample, then stretch back)."""
-    if abs(semitones) > 12.0:
+    if not (math.isfinite(semitones) and abs(semitones) <= 12.0):
         raise ParameterError(f"|semitones| must be <= 12, got {semitones}")
     if semitones == 0:
         return x
@@ -147,6 +168,8 @@ def pitch_shift(x: AudioBuffer, semitones: float) -> AudioBuffer:
 def inject_noise(x: AudioBuffer, target_snr_db: float, seed: int) -> AudioBuffer:
     """Add Gaussian white noise scaled so the measured SNR equals
     target_snr_db (exactly, before clamping). Deterministic given seed."""
+    if not math.isfinite(target_snr_db):
+        raise ParameterError(f"target SNR must be finite, got {target_snr_db}")
     signal_rms = float(np.sqrt(np.mean(x.samples**2)))
     if signal_rms == 0.0:
         raise DomainError("cannot target an SNR against silent input")

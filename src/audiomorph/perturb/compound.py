@@ -12,11 +12,21 @@ scalars, which is about twice as fast for the same double-precision
 arithmetic: each sample evaluates the same expression in the same order,
 so outputs, and with them every content digest and recorded manifest,
 stay bit-identical. The input is converted ``_BLOCK`` samples at a time,
-so a long clip never holds more than one block as a Python list.
+so a long clip never holds more than one block as a Python list; the
+level detector prescales each block in numpy into its slice of the
+output, and its loop overwrites that slice in place. Where the
+compressor's gain is zero the ballistics only decay the state, so a long
+zero-gain run is a running numpy product, computed in the same order as
+the loop.
+
+The reverb's impulse response depends on its parameters, the sample rate
+and the FFT size alone, so its spectrum is built once and cached
+read-only for integer seeds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -30,6 +40,8 @@ _ATTACK_S = 0.010
 _RELEASE_S = 0.100
 # samples converted to a Python list at a time by the recurrences
 _BLOCK = 4096
+# zero-gain runs at least this long skip the ballistics loop
+_MIN_ZERO_RUN = 32
 
 
 def _blocks(frames: int):
@@ -43,34 +55,69 @@ def _one_pole(values: np.ndarray, coeff: float) -> np.ndarray:
     keep = 1.0 - coeff
     state = float(values[0])
     for block in _blocks(values.shape[0]):
-        smoothed = []
-        append = smoothed.append
-        for v in values[block].tolist():
-            state = coeff * state + keep * v
-            append(state)
-        out[block] = smoothed
+        # keep * v is the same product in numpy as in the loop
+        scaled = out[block]
+        np.multiply(values[block], keep, out=scaled)
+        scaled[:] = [state := coeff * state + kv for kv in scaled.tolist()]
     return out
+
+
+def _zero_runs(gains: np.ndarray) -> list:
+    """``[start, stop)`` of each run of at least ``_MIN_ZERO_RUN`` zero gains."""
+    zero = np.concatenate(([False], gains == 0.0, [False]))
+    edges = np.flatnonzero(zero[1:] != zero[:-1]).reshape(-1, 2)
+    return edges[edges[:, 1] - edges[:, 0] >= _MIN_ZERO_RUN].tolist()
+
+
+def _decay(dst: np.ndarray, gains: np.ndarray, state: float, coeff: float) -> float:
+    """Fill ``dst`` with the ballistics over a run of zero ``gains``, the
+    running product ``state * coeff**k``, and return the last state. The
+    loop's ``+ keep * g`` adds a signed zero, which changes a product only
+    where it is -0.0: the first +0.0 gain turns it to +0.0, and the
+    products after stay +0.0."""
+    dst.fill(coeff)
+    dst[0] = coeff * state
+    np.multiply.accumulate(dst, out=dst)
+    if dst[-1] == 0.0:
+        # the products shrink towards zero, so their zeros are a suffix
+        first = np.count_nonzero(dst)
+        negative = np.logical_and.accumulate(np.signbit(gains[first:]))
+        negative &= np.signbit(dst[first])
+        dst[first:] = np.where(negative, -0.0, 0.0)
+    return float(dst[-1])
 
 
 def _smooth_gain(gain_db: np.ndarray, rate: int) -> np.ndarray:
     """Gain ballistics: compression engages with the 10 ms attack constant
-    and lets go with the 100 ms release constant."""
+    and lets go with the 100 ms release constant. Over a run of zero gain
+    the state only decays, by the attack constant while it is above 0 and
+    by the release constant otherwise, so long runs are numpy products."""
     a_attack = math.exp(-1.0 / (rate * _ATTACK_S))
     a_release = math.exp(-1.0 / (rate * _RELEASE_S))
     keep_attack = 1.0 - a_attack
     keep_release = 1.0 - a_release
     out = np.empty_like(gain_db)
     state = 0.0
+
+    def loop(gains: np.ndarray, dst: np.ndarray) -> None:
+        nonlocal state
+        dst[:] = [
+            state := a_attack * state + keep_attack * g
+            if g < state
+            else a_release * state + keep_release * g
+            for g in gains.tolist()
+        ]
+
     for block in _blocks(gain_db.shape[0]):
-        smoothed = []
-        append = smoothed.append
-        for g in gain_db[block].tolist():
-            if g < state:
-                state = a_attack * state + keep_attack * g
-            else:
-                state = a_release * state + keep_release * g
-            append(state)
-        out[block] = smoothed
+        gains = gain_db[block]
+        dst = out[block]
+        start = 0
+        for lo, hi in _zero_runs(gains):
+            loop(gains[start:lo], dst[start:lo])
+            coeff = a_attack if state > 0.0 else a_release
+            state = _decay(dst[lo:hi], gains[lo:hi], state, coeff)
+            start = hi
+        loop(gains[start:], dst[start:])
     return out
 
 
@@ -81,10 +128,10 @@ def compress(x: AudioBuffer, threshold_db: float, ratio: float) -> AudioBuffer:
     The RMS level detector is calibrated so a full-scale sine reads 0 dBFS;
     the computed gain moves with 10 ms attack / 100 ms release.
     """
-    if not threshold_db < 0:
-        raise ParameterError(f"threshold must be negative dBFS, got {threshold_db}")
-    if not ratio >= 1:
-        raise ParameterError(f"ratio must be >= 1, got {ratio}")
+    if not (math.isfinite(threshold_db) and threshold_db < 0):
+        raise ParameterError(f"threshold must be finite and negative dBFS, got {threshold_db}")
+    if not (math.isfinite(ratio) and ratio >= 1):
+        raise ParameterError(f"ratio must be finite and >= 1, got {ratio}")
     if x.frames == 0:
         return x
     power = np.mean(x.samples**2, axis=0)
@@ -155,8 +202,8 @@ def distort(x: AudioBuffer, clip_threshold: float, drive: float) -> AudioBuffer:
     preserved (causal FIR, tail truncated)."""
     if not 0.0 < clip_threshold <= 1.0:
         raise ParameterError(f"clip threshold must be in (0, 1], got {clip_threshold}")
-    if not drive >= 0.0:
-        raise ParameterError(f"drive must be >= 0, got {drive}")
+    if not (math.isfinite(drive) and drive >= 0.0):
+        raise ParameterError(f"drive must be finite and >= 0, got {drive}")
     taps = np.array([1.0, 0.0, 0.2 * drive])
     clipped = np.clip(x.samples, -clip_threshold, clip_threshold)
     n = x.frames
@@ -168,8 +215,8 @@ def distort(x: AudioBuffer, clip_threshold: float, drive: float) -> AudioBuffer:
 def echo(x: AudioBuffer, delay_s: float, decay: float, taps: int) -> AudioBuffer:
     """Feedforward delay line: y = x + sum_k decay^k * shift(x, k*delay),
     extended to hold the last tap. decay 0 is the identity."""
-    if not delay_s > 0:
-        raise ParameterError(f"delay must be positive, got {delay_s}")
+    if not (math.isfinite(delay_s) and delay_s > 0):
+        raise ParameterError(f"delay must be finite and positive, got {delay_s}")
     if not 0.0 <= decay < 1.0:
         raise ParameterError(f"decay must be in [0, 1), got {decay}")
     if not (isinstance(taps, (int, np.integer)) and taps >= 1):
@@ -190,16 +237,13 @@ def echo(x: AudioBuffer, delay_s: float, decay: float, taps: int) -> AudioBuffer
     return AudioBuffer(clamp(acc), x.sample_rate)
 
 
-def reverb(x: AudioBuffer, intensity: float, duration_s: float, seed: int) -> AudioBuffer:
-    """Convolve with a synthetic impulse response: a unit leading tap plus
-    seed-deterministic noise under a 60 dB exponential decay over
-    duration_s, scaled by intensity. Output length is the full convolution
-    length."""
-    if not intensity >= 0.0:
-        raise ParameterError(f"intensity must be >= 0, got {intensity}")
-    if not duration_s >= 0.0:
-        raise ParameterError(f"duration must be >= 0, got {duration_s}")
-    rate = x.sample_rate
+@functools.lru_cache(maxsize=4)
+def _impulse_spectrum(
+    intensity: float, duration_s: float, seed, rate: int, size: int
+) -> np.ndarray:
+    """rfft at ``size`` points of the impulse response: a unit leading tap
+    plus seed-deterministic noise under a 60 dB exponential decay over
+    duration_s, scaled by intensity. Read-only, as callers share it."""
     ir_len = int(round(duration_s * rate))
     h = np.zeros(1 + ir_len)
     h[0] = 1.0
@@ -208,11 +252,31 @@ def reverb(x: AudioBuffer, intensity: float, duration_s: float, seed: int) -> Au
         envelope = 10.0 ** (-3.0 * t / duration_s)  # -60 dB across the tail
         rng = np.random.default_rng(seed)
         h[1:] = intensity * rng.standard_normal(ir_len) * envelope
-    n_out = x.frames + h.size - 1
+    spectrum = np.fft.rfft(h, size)
+    spectrum.flags.writeable = False
+    return spectrum
+
+
+def reverb(x: AudioBuffer, intensity: float, duration_s: float, seed: int) -> AudioBuffer:
+    """Convolve with a synthetic impulse response: a unit leading tap plus
+    seed-deterministic noise under a 60 dB exponential decay over
+    duration_s, scaled by intensity. Output length is the full convolution
+    length."""
+    if not (math.isfinite(intensity) and intensity >= 0.0):
+        raise ParameterError(f"intensity must be finite and >= 0, got {intensity}")
+    if not (math.isfinite(duration_s) and duration_s >= 0.0):
+        raise ParameterError(f"duration must be finite and >= 0, got {duration_s}")
+    rate = x.sample_rate
+    n_out = x.frames + int(round(duration_s * rate))
     size = 1
     while size < n_out:
         size *= 2
-    spectrum_h = np.fft.rfft(h, size)
+    # an integer seed names its noise; any other seed default_rng takes
+    # (None, a list) builds the spectrum afresh, as no cache key stands for it
+    if isinstance(seed, (int, np.integer)):
+        spectrum_h = _impulse_spectrum(intensity, duration_s, seed, rate, size)
+    else:
+        spectrum_h = _impulse_spectrum.__wrapped__(intensity, duration_s, seed, rate, size)
     out = np.stack(
         [np.fft.irfft(np.fft.rfft(ch, size) * spectrum_h, size)[:n_out] for ch in x.samples]
     )

@@ -242,8 +242,8 @@ def benign_discontinuity_audio(
     silence after every occurrence. Duration grows by
     (repeats-1)*span + repeats*gap_s per site, exact to one frame."""
     sites = _discontinuity_sites(transcript.tokens, targets, repeats)
-    if gap_s < 0:
-        raise ParameterError(f"gap must be >= 0 s, got {gap_s}")
+    if not (math.isfinite(gap_s) and gap_s >= 0):
+        raise ParameterError(f"gap must be finite and >= 0 s, got {gap_s}")
     alignment = transcript.alignment
     if alignment is None:
         raise DomainError("audio discontinuity needs a time-aligned transcript")

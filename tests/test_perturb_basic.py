@@ -1,6 +1,7 @@
 """Basic perturbations: contract examples plus property checks."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 from audiomorph.audio import AudioBuffer
 from audiomorph.errors import DomainError, ParameterError
 from audiomorph.perturb import basic
+from audiomorph.perturb import OPS, Perturbation
 from .conftest import envelope_period_s, sine, stereo_sine
 from .oracles import dominant_frequency, measure_snr, rms
+from .test_golden_digests import RELATIONS, TRANSCRIPT
 
 RATE = 16000
 
@@ -56,6 +59,13 @@ class TestTimeStretch:
         buf = sine(440.0, duration_s=0.04)  # under one analysis window
         out = basic.time_stretch(buf, 2.0)
         assert out.frames == pytest.approx(2 * buf.frames, abs=1)
+
+    @pytest.mark.parametrize("rate", [10, 20, 29])
+    def test_window_under_two_samples_interpolates(self, rate):
+        # a 50 ms window rounds to 0 or 1 samples: no hop to step by
+        buf = AudioBuffer(np.full(10 * rate, 0.1), rate)
+        out = basic.time_stretch(buf, 1.5)
+        assert out.frames == 15 * rate
 
 
 class TestTimeShift:
@@ -269,3 +279,112 @@ class TestCrossCutting:
         assert out.sample_rate == RATE
         assert np.all(np.isfinite(out.samples))
         assert np.max(np.abs(out.samples)) <= 1.0
+
+
+class TestNonFiniteParameters:
+    # every float parameter of the golden table's in-range parameter sets
+    CASES = [
+        (relation, name)
+        for relation in RELATIONS
+        for name, value in relation.params.items()
+        if isinstance(value, float)
+    ]
+
+    def test_every_kind_has_a_float_parameter(self):
+        assert {relation.kind for relation, _ in self.CASES} == set(OPS)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize(
+        "relation, name", CASES, ids=[f"{r.label}.{name}" for r, name in CASES]
+    )
+    def test_rejected_as_parameter_error(self, relation, name, value):
+        bad = Perturbation(relation.kind, {**relation.params, name: value})
+        with pytest.raises(ParameterError):
+            bad.apply(sine(440.0), TRANSCRIPT)
+
+
+def loop_time_stretch(x: AudioBuffer, factor: float) -> AudioBuffer:
+    """time_stretch as it was before its hop loop stopped allocating,
+    kept verbatim as the bit-identical reference."""
+    if not 0.25 <= factor <= 4.0:
+        raise ParameterError(f"stretch factor must be in [0.25, 4.0], got {factor}")
+    if factor == 1.0:
+        return x
+    rate = x.sample_rate
+    n = x.frames
+    n_out = max(1, int(round(n * factor)))
+    frame = int(round(basic._STRETCH_FRAME_S * rate))
+    if n < 2 * frame or n_out < frame:
+        resampled = basic._resample_linear(x.samples, n / n_out)
+        return AudioBuffer(np.clip(resampled[:, :n_out], -1.0, 1.0), rate)
+
+    window = np.hanning(frame)
+    hop = frame // 2
+    tol = int(round(basic._STRETCH_TOL_S * rate))
+    mono = x.mono_mix()
+    out = np.zeros((x.channels, n_out + frame))
+    weight = np.zeros(n_out + frame)
+
+    prev = None
+    s = 0
+    while s < n_out:
+        nominal = int(round(s / factor))
+        nominal = min(max(nominal, 0), n - frame)
+        if prev is None:
+            a = nominal
+        else:
+            # align to the natural continuation of the previous frame
+            target = prev + hop
+            ref = np.zeros(frame)
+            avail = min(frame, n - target) if target < n else 0
+            if avail > 0:
+                ref[:avail] = mono[target : target + avail]
+            lo = max(0, nominal - tol)
+            hi = min(n - frame, nominal + tol)
+            if hi <= lo or not np.any(ref):
+                a = nominal
+            else:
+                region = mono[lo : hi + frame]
+                scores = np.correlate(region, ref, mode="valid")
+                a = lo + int(np.argmax(scores))
+        out[:, s : s + frame] += x.samples[:, a : a + frame] * window
+        weight[s : s + frame] += window
+        prev = a
+        s += hop
+
+    voiced = weight > 1e-8
+    out[:, voiced] /= weight[voiced]
+    return AudioBuffer(np.clip(out[:, :n_out], -1.0, 1.0), rate)
+
+
+@st.composite
+def _stretch_clips(draw):
+    """Noise under a random envelope, mono or stereo, at 8, 16 or 44.1 kHz
+    (where a 2205-sample frame makes three grains overlap), from under two
+    frames long to 0.6 s, with silent stretches that may end the clip."""
+    rate = draw(st.sampled_from([8000, 16000, 44100]))
+    channels = draw(st.integers(1, 2))
+    n = draw(st.integers(int(0.08 * rate), int(0.6 * rate)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    envelope = np.abs(np.sin(np.arange(n) * rng.uniform(1e-4, 1e-2)))
+    samples = np.clip(0.5 * envelope * rng.standard_normal((channels, n)), -1.0, 1.0)
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, n - 1))
+        samples[:, start : start + draw(st.integers(1, n))] = 0.0
+    return AudioBuffer(samples, rate)
+
+
+class TestStretchMatchesLoop:
+    @given(x=_stretch_clips(), factor=st.floats(0.25, 4.0))
+    @settings(max_examples=40, deadline=None)
+    def test_time_stretch(self, x, factor):
+        got = basic.time_stretch(x, factor)
+        assert got.samples.tobytes() == loop_time_stretch(x, factor).samples.tobytes()
+
+    @given(x=_stretch_clips(), semitones=st.floats(-12.0, 12.0))
+    @settings(max_examples=40, deadline=None)
+    def test_pitch_shift(self, x, semitones):
+        got = basic.pitch_shift(x, semitones)
+        with mock.patch.object(basic, "time_stretch", loop_time_stretch):
+            want = basic.pitch_shift(x, semitones)
+        assert got.samples.tobytes() == want.samples.tobytes()

@@ -248,6 +248,85 @@ class TestReverb:
             compound.reverb(tone_440, **kwargs)
 
 
+def plain_reverb(x: AudioBuffer, intensity: float, duration_s: float, seed) -> AudioBuffer:
+    """The reverb as it was before its impulse spectrum was cached, kept
+    verbatim as the bit-identical reference."""
+    rate = x.sample_rate
+    ir_len = int(round(duration_s * rate))
+    h = np.zeros(1 + ir_len)
+    h[0] = 1.0
+    if ir_len and intensity > 0.0:
+        t = np.arange(ir_len) / rate
+        envelope = 10.0 ** (-3.0 * t / duration_s)  # -60 dB across the tail
+        rng = np.random.default_rng(seed)
+        h[1:] = intensity * rng.standard_normal(ir_len) * envelope
+    n_out = x.frames + h.size - 1
+    size = 1
+    while size < n_out:
+        size *= 2
+    spectrum_h = np.fft.rfft(h, size)
+    out = np.stack(
+        [np.fft.irfft(np.fft.rfft(ch, size) * spectrum_h, size)[:n_out] for ch in x.samples]
+    )
+    return AudioBuffer(np.clip(out, -1.0, 1.0), x.sample_rate)
+
+
+class TestReverbCache:
+    # (intensity, duration_s, seed): a base and one change of each
+    PARAMS = [(0.3, 0.2, 9), (0.4, 0.2, 9), (0.3, 0.25, 9), (0.3, 0.2, 10)]
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        compound._impulse_spectrum.cache_clear()
+        yield
+        compound._impulse_spectrum.cache_clear()
+
+    def test_repeated_calls_keep_the_bytes(self, tone_440):
+        want = plain_reverb(tone_440, 0.3, 0.2, 9).samples.tobytes()
+        for _ in range(3):
+            assert compound.reverb(tone_440, 0.3, 0.2, seed=9).samples.tobytes() == want
+        info = compound._impulse_spectrum.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_parameters_rate_and_size_never_share_an_entry(self):
+        # the first two clips differ only in length, so in FFT size; the
+        # third is at another rate
+        clips = [
+            AudioBuffer(np.sin(np.arange(frames) / 7.0) * 0.5, rate)
+            for frames, rate in [(RATE // 2, RATE), (RATE, RATE), (8000 // 2, 8000)]
+        ]
+        calls = [(clip, *params) for clip in clips for params in self.PARAMS]
+        for clip, intensity, duration_s, seed in calls:
+            compound.reverb(clip, intensity, duration_s, seed)
+        info = compound._impulse_spectrum.cache_info()
+        assert (info.hits, info.misses) == (0, len(calls))
+        # back in the other order, past evictions, every output keeps its bytes
+        for clip, intensity, duration_s, seed in reversed(calls):
+            got = compound.reverb(clip, intensity, duration_s, seed)
+            want = plain_reverb(clip, intensity, duration_s, seed)
+            assert got.samples.tobytes() == want.samples.tobytes()
+
+    def test_cached_spectrum_is_read_only(self, tone_440):
+        compound.reverb(tone_440, 0.3, 0.2, seed=9)
+        spectrum = compound._impulse_spectrum(0.3, 0.2, 9, RATE, 32768)
+        assert compound._impulse_spectrum.cache_info().hits == 1
+        assert not spectrum.flags.writeable
+        with pytest.raises(ValueError):
+            spectrum[0] = 0.0
+
+    @pytest.mark.parametrize(
+        "seed", [[1, 2], [[1, 2], [3]], np.array([1, 2])], ids=["list", "nested", "array"]
+    )
+    def test_unhashable_seed_keeps_the_bytes(self, tone_440, seed):
+        got = compound.reverb(tone_440, 0.3, 0.2, seed=seed)
+        assert got.samples.tobytes() == plain_reverb(tone_440, 0.3, 0.2, seed).samples.tobytes()
+
+    def test_unseeded_reverb_draws_fresh_noise(self, tone_440):
+        a = compound.reverb(tone_440, 0.3, 0.2, seed=None)
+        b = compound.reverb(tone_440, 0.3, 0.2, seed=None)
+        assert a.samples.tobytes() != b.samples.tobytes()
+
+
 # The recurrences as they were before they ran on blocked Python floats:
 # numpy-scalar loops, kept verbatim as the bit-identical references.
 
@@ -320,23 +399,28 @@ def _signal(draw, block, channels=1):
 
 @st.composite
 def _gain_runs(draw, block):
-    """Gain in dB as up to 8 runs: zero runs (released), negative runs
-    (compressing) and positive runs, some with per-sample jitter, so the
-    attack/release switch flips often and in both directions."""
+    """Gain in dB as up to 8 runs: zero runs (released) of either sign,
+    negative runs (compressing), subnormal negative runs and positive runs,
+    some with per-sample jitter, so the attack/release switch flips often
+    and in both directions. Some draws add a zero run after each positive
+    run, where the state decays on the attack branch."""
     n = draw(_lengths(block))
-    runs = draw(st.integers(1, 8))
-    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=runs - 1, max_size=runs - 1)))
-    levels = draw(
-        st.lists(
-            st.one_of(st.just(0.0), st.floats(-40.0, 40.0, allow_nan=False)),
-            min_size=runs,
-            max_size=runs,
-        )
+    level = st.one_of(
+        st.just(0.0),
+        st.just(-0.0),
+        st.floats(-40.0, 40.0, allow_nan=False),
+        st.floats(-np.finfo(np.float64).tiny, -5e-324),
     )
+    levels = draw(st.lists(level, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        levels = [v for lv in levels for v in ((lv, 0.0) if lv > 0.0 else (lv,))]
+    runs = len(levels)
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=runs - 1, max_size=runs - 1)))
     gain_db = np.repeat(levels, np.diff([0, *cuts, n])).astype(np.float64)
     if draw(st.booleans()):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        gain_db += np.where(gain_db != 0.0, rng.standard_normal(n), 0.0)
+        # in place where nonzero, so zero runs keep their sign
+        np.add(gain_db, rng.standard_normal(n), out=gain_db, where=gain_db != 0.0)
     return gain_db
 
 
@@ -353,13 +437,33 @@ class TestRecurrencesMatchLoops:
 
     @pytest.mark.parametrize("block", _BLOCKS)
     @given(data=st.data())
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=50, deadline=None)
     def test_smooth_gain(self, block, data):
         gain_db = data.draw(_gain_runs(block))
-        rate = data.draw(st.sampled_from([8000, 16000, 44100]))
-        with mock.patch.object(compound, "_BLOCK", block):
+        # 1: every zero-gain run, however short, takes the numpy path
+        min_zero_run = data.draw(st.sampled_from([1, compound._MIN_ZERO_RUN]))
+        # at 1 and 10 Hz a constant is under 1/2, so a decaying state
+        # underflows to a signed zero inside a zero-gain run
+        rate = data.draw(st.sampled_from([1, 10, 8000, 16000, 44100]))
+        with mock.patch.multiple(compound, _BLOCK=block, _MIN_ZERO_RUN=min_zero_run):
             got = compound._smooth_gain(gain_db, rate)
         assert got.tobytes() == loop_smooth_gain(gain_db, rate).tobytes()
+
+    @pytest.mark.parametrize("rate", [1, 10])
+    @pytest.mark.parametrize(
+        "zeros",
+        [(-0.0,), (0.0,), (-0.0, 0.0, -0.0), (0.0, -0.0)],
+        ids=["negative", "positive", "negative-positive-negative", "positive-negative"],
+    )
+    def test_smooth_gain_signed_zero_runs(self, rate, zeros):
+        # a compressing run decays to -0.0 over the zero runs that follow;
+        # the first +0.0 gain turns the state to +0.0 for good
+        gain_db = np.concatenate([np.full(40, -3.0), *[np.full(1000, z) for z in zeros]])
+        with mock.patch.object(compound, "_MIN_ZERO_RUN", 1):
+            got = compound._smooth_gain(gain_db, rate)
+        want = loop_smooth_gain(gain_db, rate)
+        assert want[-1] == 0.0
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("block", _BLOCKS)
     @given(data=st.data())
