@@ -10,10 +10,10 @@ import inspect
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Optional, Union, get_args, get_origin
+from typing import Any, Optional
 
 from ..audio import AudioBuffer
-from ..errors import ConfigError, reject_unknown_keys
+from ..errors import ConfigError, read_params
 
 
 class Category(str, enum.Enum):
@@ -89,10 +89,8 @@ def build_backend(config: Mapping[str, Any]) -> ModerationBackend:
 
     ``kind`` ({http, fixture, keyword_spotter}) picks the constructor, and
     every other key is one of its parameters (``name`` defaults to the
-    kind). A parameter without a default is required, a value for a
-    ``float`` or ``int`` parameter is converted, and one for a ``str`` or
-    ``Mapping`` one must have that type. An unknown key, a missing one or a
-    value that does not convert or has the wrong type is a ConfigError naming it.
+    kind), checked by ``read_params``: values are never converted, so
+    ``2.7``, ``true`` or ``"3"`` is no ``int`` but a ConfigError naming the key.
     """
     if "kind" not in config:
         raise ConfigError("backend config missing 'kind'", field="kind")
@@ -101,33 +99,9 @@ def build_backend(config: Mapping[str, Any]) -> ModerationBackend:
     if not (isinstance(kind, str) and kind in constructors):
         raise ConfigError(f"unknown backend kind {kind!r}", field="kind")
     constructor = constructors[kind]
-    params = inspect.signature(constructor, eval_str=True).parameters
-    reject_unknown_keys(config, ("kind", *params), f"{kind} backend")
-    kwargs = {}
-    for field, p in params.items():
-        if field not in config:
-            if p.default is inspect.Parameter.empty:
-                raise ConfigError(f"{kind} backend config missing {field!r}", field=field)
-            continue
-        value = config[field]
-        annotation = p.annotation
-        if get_origin(annotation) is Union:  # Optional[X] is checked as X
-            annotation = get_args(annotation)[0]
-        expected = get_origin(annotation) or annotation
-        if expected in (float, int):
-            try:
-                value = expected(value)
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"{kind} backend {field} must be {expected.__name__}, got {value!r}",
-                    field=field,
-                ) from None
-        # the default itself (null for an optional one) is always accepted
-        elif expected in (str, Mapping) and not isinstance(value, expected) and value is not p.default:
-            raise ConfigError(
-                f"{kind} backend {field} must be {expected.__name__}, got {value!r}", field=field
-            )
-        kwargs[field] = value
+    kwargs = {key: value for key, value in config.items() if key != "kind"}
+    params = inspect.signature(constructor, eval_str=True).parameters.values()
+    read_params(params, kwargs, f"{kind} backend")
     return constructor(**kwargs)
 
 

@@ -1,10 +1,13 @@
 """Exception types shared across the package, the JSON file reader and
-writer that every recorded format goes through, and the unknown-key check
-that config readers share."""
+writer that every recorded format goes through, and the key and value
+checks that config readers share."""
 
+import inspect
 import json
+import numbers
+from collections.abc import Iterable, Mapping, Sequence
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Union, get_args, get_origin
 
 
 class AudiomorphError(Exception):
@@ -66,6 +69,36 @@ def reject_unknown_keys(entry: Mapping, known: Sequence[str], where: str) -> Non
             f" (known: {', '.join(known)})",
             field=unknown[0],
         )
+
+
+def _is_a(value, annotation) -> bool:
+    """Whether ``value``, as given, is of type ``annotation`` (or it is unannotated)."""
+    origin, args = get_origin(annotation), get_args(annotation)
+    if annotation is inspect.Parameter.empty:
+        return True
+    if origin is Union:  # Optional[X] too
+        return any(_is_a(value, member) for member in args)
+    if isinstance(value, bool) and annotation in (int, float):  # bool is an int to isinstance
+        return False
+    if origin is Iterable:  # a list or tuple of X, never a bare string
+        return isinstance(value, (list, tuple)) and all(_is_a(v, args[0]) for v in value)
+    expected = {float: numbers.Real, int: numbers.Integral}.get(annotation, origin or annotation)
+    return isinstance(value, expected)
+
+
+def read_params(params: Iterable[inspect.Parameter], entry: Mapping, where: str) -> None:
+    """Check ``entry`` against a signature's ``params``: an unknown key, a missing
+    required parameter or a value not of its annotation, checked as given and
+    never converted, is a ConfigError naming the key. A default always passes."""
+    params = {p.name: p for p in params}
+    reject_unknown_keys(entry, tuple(params), where)
+    for name, p in params.items():
+        value = entry.get(name, p.default)
+        if value is p.empty:
+            raise ConfigError(f"{where} is missing {name!r}", field=name)
+        if not (value is p.default or _is_a(value, p.annotation)):
+            expected = inspect.formatannotation(p.annotation)
+            raise ConfigError(f"{where} {name} must be {expected}, got {value!r}", field=name)
 
 
 class BackendUnavailableError(AudiomorphError):

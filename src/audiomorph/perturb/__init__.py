@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from ..audio import AudioBuffer
-from ..errors import DomainError, ParameterError, reject_unknown_keys
+from ..errors import DomainError, ParameterError, read_params, reject_unknown_keys
 from . import basic, compound, linguistic
 
 PerturbationFn = Callable[..., AudioBuffer]
@@ -47,8 +47,8 @@ def normalize_kind(name: str) -> str:
 
 @functools.lru_cache(maxsize=None)
 def _signature(kind: str) -> inspect.Signature:
-    # read once per kind, not on every needs_transcript and apply
-    return inspect.signature(OPS[kind])
+    # read once per kind; eval_str, as the op modules postpone annotations
+    return inspect.signature(OPS[kind], eval_str=True)
 
 
 @dataclass(frozen=True)
@@ -67,15 +67,10 @@ class Perturbation:
         if not isinstance(self.params, Mapping):
             raise ParameterError(f"{kind}: 'params' must be an object, got {self.params!r}")
         object.__setattr__(self, "params", dict(self.params))
-        # parameter names fail here, at config load, as does a string `targets`,
-        # which an op would read letter by letter; other values fail on apply
-        placeholders = {"transcript": None} if self.needs_transcript else {}
-        try:
-            _signature(kind).bind(None, **placeholders, **self.params)
-        except TypeError as exc:
-            raise ParameterError(f"{kind}: {exc}") from exc
-        if isinstance(self.params.get("targets"), str):
-            raise ParameterError(f"{kind}: targets must be a list of words, not a string")
+        # every value fails here, at config load, not on the first case; the
+        # clip (x) and the seed's transcript are the op's inputs, not parameters
+        params = [p for p in _signature(kind).parameters.values() if p.name != "transcript"]
+        read_params(params[1:], self.params, f"relation {kind!r}")
 
     @property
     def needs_transcript(self) -> bool:
@@ -90,11 +85,7 @@ class Perturbation:
             if transcript is None:
                 raise DomainError(f"{self.kind} requires a seed transcript")
             params["transcript"] = transcript
-        try:
-            return OPS[self.kind](audio, **params)
-        except TypeError as exc:
-            # a parameter value of the wrong type surfaces as TypeError
-            raise ParameterError(f"{self.kind}: {exc}") from exc
+        return OPS[self.kind](audio, **params)
 
     def describe(self) -> dict:
         return {"kind": self.kind, "params": dict(self.params)}

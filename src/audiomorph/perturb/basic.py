@@ -22,6 +22,13 @@ _STRETCH_TOL_S = 0.005
 _OLA_GRAINS = 32
 
 
+def check_seed(seed) -> None:
+    """A negative integer seed is a ParameterError; any other seed goes to
+    ``np.random.default_rng`` as given (None draws fresh entropy)."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+
+
 def _resample_linear(samples: np.ndarray, speed: float) -> np.ndarray:
     """Play (channels, frames) samples at ``speed``; length scales by
     1/speed, frequencies scale by speed. Linear interpolation: tone error
@@ -170,6 +177,7 @@ def inject_noise(x: AudioBuffer, target_snr_db: float, seed: int) -> AudioBuffer
     target_snr_db (exactly, before clamping). Deterministic given seed."""
     if not math.isfinite(target_snr_db):
         raise ParameterError(f"target SNR must be finite, got {target_snr_db}")
+    check_seed(seed)
     signal_rms = float(np.sqrt(np.mean(x.samples**2)))
     if signal_rms == 0.0:
         raise DomainError("cannot target an SNR against silent input")

@@ -33,7 +33,7 @@ import numpy as np
 
 from ..audio import AudioBuffer, clamp
 from ..errors import ParameterError
-from .basic import time_shift
+from .basic import check_seed, time_shift
 
 _RMS_WINDOW_S = 0.010
 _ATTACK_S = 0.010
@@ -42,6 +42,8 @@ _RELEASE_S = 0.100
 _BLOCK = 4096
 # zero-gain runs at least this long skip the ballistics loop
 _MIN_ZERO_RUN = 32
+#: echo's output holds every tap, so their count is bounded before allocating
+MAX_ECHO_TAPS = 32
 
 
 def _blocks(frames: int):
@@ -214,13 +216,14 @@ def distort(x: AudioBuffer, clip_threshold: float, drive: float) -> AudioBuffer:
 
 def echo(x: AudioBuffer, delay_s: float, decay: float, taps: int) -> AudioBuffer:
     """Feedforward delay line: y = x + sum_k decay^k * shift(x, k*delay),
-    extended to hold the last tap. decay 0 is the identity."""
+    extended to hold the last tap; ``taps`` is at most 32
+    (``MAX_ECHO_TAPS``). decay 0 is the identity."""
     if not (math.isfinite(delay_s) and delay_s > 0):
         raise ParameterError(f"delay must be finite and positive, got {delay_s}")
     if not 0.0 <= decay < 1.0:
         raise ParameterError(f"decay must be in [0, 1), got {decay}")
-    if not (isinstance(taps, (int, np.integer)) and taps >= 1):
-        raise ParameterError(f"taps must be an integer >= 1, got {taps}")
+    if not (isinstance(taps, (int, np.integer)) and 1 <= taps <= MAX_ECHO_TAPS):
+        raise ParameterError(f"taps must be an integer in [1, {MAX_ECHO_TAPS}], got {taps}")
     if decay == 0.0:
         return x
     d = int(round(delay_s * x.sample_rate))
@@ -266,6 +269,7 @@ def reverb(x: AudioBuffer, intensity: float, duration_s: float, seed: int) -> Au
         raise ParameterError(f"intensity must be finite and >= 0, got {intensity}")
     if not (math.isfinite(duration_s) and duration_s >= 0.0):
         raise ParameterError(f"duration must be finite and >= 0, got {duration_s}")
+    check_seed(seed)
     rate = x.sample_rate
     n_out = x.frames + int(round(duration_s * rate))
     size = 1

@@ -17,6 +17,7 @@ import numpy as np
 
 from ..audio import AudioBuffer
 from ..errors import ConfigError, DomainError, ParameterError
+from .basic import check_seed
 
 LANGUAGES = ("EN", "ZH")
 
@@ -177,6 +178,7 @@ def homophone_substitute(
         raise DomainError(
             f"lexicon language {lexicon.language} does not match transcript {t.language}"
         )
+    check_seed(seed)
     target_set = {w.lower() for w in targets}
     rng = np.random.default_rng(seed)
     out: List[str] = []

@@ -81,3 +81,21 @@ def test_backends_never_compute_content_digest():
             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "content_digest"
         ]
         assert not lines, f"backends/{path.name} calls content_digest on line(s) {lines}"
+
+
+def test_only_errors_reads_signatures_against_values():
+    # relation and backend parameters go through errors.read_params alone,
+    # so no other module binds a signature or takes an annotation apart
+    package = Path(backends_package.__file__).parents[1]
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "errors.py" and path.parent == package:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = [
+            f"{name} (line {node.lineno})"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (name := getattr(node.func, "id", getattr(node.func, "attr", None)))
+            in ("bind", "get_origin", "get_args")
+        ]
+        assert not calls, f"{path.relative_to(package)} calls {', '.join(calls)}"

@@ -752,6 +752,9 @@ class TestBuildBackend:
              "threshold"),
             ({"kind": "http", "endpoint": "http://x/y", "response_mapping": _mapping(),
               "max_attempts": "three"}, "max_attempts"),
+            # true is a JSON bool, not the number 1
+            ({"kind": "keyword_spotter", "templates_dir": ".", "threshold": True},
+             "threshold"),
         ],
     )
     def test_unconvertible_value_named(self, config, field):
@@ -762,7 +765,10 @@ class TestBuildBackend:
     @pytest.mark.parametrize(
         "field, value",
         [("method", 5), ("headers", "x"), ("body", [1]), ("endpoint", 3), ("name", 5),
-         ("rate_limit_per_s", 0), ("rate_limit_per_s", -1.0), ("rate_limit_per_s", math.nan)],
+         ("rate_limit_per_s", 0), ("rate_limit_per_s", -1.0), ("rate_limit_per_s", math.nan),
+         # checked as given: 2.7 would otherwise run as 2 attempts, true as 1,
+         # and "400" as 400 requests/s
+         ("max_attempts", 2.7), ("max_attempts", True), ("rate_limit_per_s", "400")],
     )
     def test_http_rejects_wrong_type_or_rate(self, field, value):
         config = {"kind": "http", "endpoint": "http://x/y", "response_mapping": _mapping()}

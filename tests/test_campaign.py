@@ -4,6 +4,7 @@ replay determinism, and the retraining export."""
 import dataclasses
 import json
 import math
+import shutil
 import time
 from pathlib import Path
 
@@ -192,7 +193,7 @@ class TestConfig:
         assert Perturbation("Ring-Mod", {"carrier_hz": 30.0}).kind == "ring_mod"
 
     def test_unknown_mr_parameter_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             Perturbation("gain", {"decibels": 6.0})
 
     def test_non_object_mr_params_rejected(self):
@@ -206,19 +207,32 @@ class TestConfig:
         with pytest.raises(DomainError):
             mr.apply(sine(300.0, duration_s=0.5))
 
-    def test_string_targets_rejected_before_any_query(self, tmp_path):
-        # read letter by letter, "bitch" would match no token; the relation
-        # fails at config load, so the probe queries nothing and no output
-        # directory is made
+    @pytest.mark.parametrize(
+        "kind, params, key",
+        [
+            # read letter by letter, "bitch" would match no token
+            ("discontinuity", {"targets": "bitch", "gap_s": 0.1, "repeats": 2}, "targets"),
+            ("discontinuity", {"targets": ["a", 1], "gap_s": 0.1, "repeats": 2}, "targets"),
+            ("gain", {"db": "6"}, "db"),
+            ("echo", {"delay_s": 0.1, "decay": 0.5, "taps": 2.5}, "taps"),
+            ("discontinuity", {"targets": ["bitch"], "gap_s": 0.1, "repeats": True}, "repeats"),
+            # a null seed would draw fresh noise on every run, so no replay matches
+            ("inject_noise", {"target_snr_db": 20.0, "seed": None}, "seed"),
+            ("inject_noise", {"target_snr_db": 20.0, "seed": 7.0}, "seed"),
+        ],
+    )
+    def test_mistyped_mr_param_rejected_before_any_query(self, tmp_path, kind, params, key):
+        # values are checked as given when the relation is built, so the
+        # probe queries nothing and no output directory is made
         _, buf = _make_seed(tmp_path, "a", 300.0, "insult")
         (tmp_path / "a.tsv").write_text("son\t0.0\t0.2\nbitch\t0.2\t0.4\n", encoding="utf-8")
         config = self._minimal()
         config["seeds"][0]["transcript"] = "a.tsv"
-        params = {"targets": "bitch", "gap_s": 0.1, "repeats": 2}
-        config["mrs"] = [{"kind": "discontinuity", "params": params}]
+        config["mrs"] = [{"kind": kind, "params": params}]
         backend = ScriptedBackend("b", {content_digest(buf): Category.INSULT})
-        with pytest.raises(ParameterError, match="targets"):
+        with pytest.raises(ConfigError, match=key) as err:
             run_campaign(CampaignConfig.from_dict(config, tmp_path), backends=[backend])
+        assert err.value.field == key
         assert backend.calls == 0
         assert not (tmp_path / "out").exists()
 
@@ -492,6 +506,65 @@ class TestReplay:
         replayed = replay_campaign(tmp_path / "out" / "manifest.json", "replay")
         assert replayed.report_json.read_bytes() == (tmp_path / original.report_json).read_bytes()
         assert replayed.report_csv.read_bytes() == (tmp_path / original.report_csv).read_bytes()
+
+
+class TestTranscriptRelations:
+    """A campaign over a relation that edits aligned words: each seed's
+    transcript is loaded, handed to the op and recorded in the manifest."""
+
+    def _tree(self, root, transcribed=("a", "b")):
+        """Insult seeds a and b under ``root``, with aligned transcripts for
+        those in ``transcribed``; returns the config and the seed digests."""
+        (root / "seeds").mkdir(parents=True)
+        digests = []
+        seeds = []
+        for i, name in enumerate(("a", "b")):
+            _, buf = _make_seed(root / "seeds", name, 300.0 + 100 * i, "insult")
+            digests.append(content_digest(buf))
+            seed = {"id": name, "path": f"seeds/{name}.wav", "category": "insult"}
+            if name in transcribed:
+                (root / "seeds" / f"{name}.tsv").write_text(
+                    "son\t0.0\t0.2\nof\t0.2\t0.3\nbitch\t0.3\t0.45\n", encoding="utf-8"
+                )
+                seed["transcript"] = f"seeds/{name}.tsv"
+            seeds.append(seed)
+        config = {
+            "seeds": seeds,
+            "mrs": [
+                {"kind": "discontinuity",
+                 "params": {"targets": ["bitch"], "gap_s": 0.05, "repeats": 2}}
+            ],
+            "backends": [{"kind": "fixture", "path": "unused.json"}],
+            "output_dir": "out",
+        }
+        return CampaignConfig.from_dict(config, root), digests
+
+    def test_runs_and_replays_from_a_moved_tree(self, tmp_path):
+        config, digests = self._tree(tmp_path / "tree")
+        backend = ScriptedBackend("b", {d: Category.INSULT for d in digests})
+        report = run_campaign(config, backends=[backend])
+        manifest = json.loads(report.manifest.read_text(encoding="utf-8"))
+        assert [s["transcript"] for s in manifest["seeds"]] == [
+            "../seeds/a.tsv", "../seeds/b.tsv"
+        ]
+        # the stutter lengthens every clip, so each case is a new clip
+        assert len(manifest["cases"]) == 2
+        assert not {c["digest"] for c in manifest["cases"]} & set(digests)
+        assert [c.generated for c in report.cells] == [2]
+
+        shutil.move(tmp_path / "tree", tmp_path / "moved")
+        moved = tmp_path / "moved"
+        replayed = replay_campaign(moved / "out" / "manifest.json", moved / "replay")
+        assert replayed.report_json.read_bytes() == (moved / "out" / "report.json").read_bytes()
+        assert replayed.report_csv.read_bytes() == (moved / "out" / "report.csv").read_bytes()
+
+    def test_seed_without_transcript_rejected_before_any_query(self, tmp_path):
+        config, digests = self._tree(tmp_path, transcribed=("a",))
+        backend = ScriptedBackend("b", {d: Category.INSULT for d in digests})
+        with pytest.raises(ConfigError, match=r"transcripts; seeds without one: \['b'\]") as err:
+            run_campaign(config, backends=[backend])
+        assert err.value.field == "transcript"
+        assert backend.calls == 0
 
 
 class TestQueryOnce:

@@ -123,6 +123,14 @@ class TestPerturb:
         assert code == 1
         assert "parameter" in err
 
+    def test_negative_seed_is_parameter_error(self, capsys, quiet_wav, tmp_path):
+        code, _, err = run_cli(
+            capsys, "perturb", "--mr", "inject-noise", "--snr", "20", "--seed", "-1",
+            str(quiet_wav), str(tmp_path / "o.wav"),
+        )
+        assert code == 1
+        assert "parameter error" in err and "seed" in err
+
     def test_unreadable_input(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "perturb", "--mr", "gain", "--db", "6",

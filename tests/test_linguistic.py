@@ -119,6 +119,10 @@ class TestHomophoneSubstitute:
         }
         assert picks == {"base", "bays"}  # both sides of the tie reachable
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError, match="seed"):
+            lng.homophone_substitute(T("fuck"), lng.default_lexicon(), {"fuck"}, seed=-1)
+
     def test_lower_rank_wins(self):
         lexicon = lng.HomophoneLexicon({"fuck": ((2, "fog"), (1, "folk"))})
         result = lng.homophone_substitute(T("fuck"), lexicon, {"fuck"}, seed=0)

@@ -204,6 +204,11 @@ class TestInjectNoise:
         with pytest.raises(DomainError):
             basic.inject_noise(AudioBuffer(np.zeros(1000), RATE), 12.0, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-7)])
+    def test_negative_seed_rejected(self, tone_440, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            basic.inject_noise(tone_440, 12.0, seed=seed)
+
 
 class TestRepeatSegment:
     def test_length_arithmetic(self):

@@ -209,6 +209,15 @@ class TestEcho:
         with pytest.raises(ParameterError):
             compound.echo(tone_440, **kwargs)
 
+    def test_taps_bounded_before_allocating(self, tone_440):
+        # 10**9 taps of 10 ms would ask for over a terabyte
+        with pytest.raises(ParameterError, match="taps"):
+            compound.echo(tone_440, delay_s=0.01, decay=0.5, taps=10**9)
+        with pytest.raises(ParameterError, match="taps"):
+            compound.echo(tone_440, delay_s=0.01, decay=0.5, taps=compound.MAX_ECHO_TAPS + 1)
+        out = compound.echo(tone_440, delay_s=0.01, decay=0.5, taps=compound.MAX_ECHO_TAPS)
+        assert out.frames == tone_440.frames + compound.MAX_ECHO_TAPS * int(0.01 * RATE)
+
 
 class TestReverb:
     def test_zero_intensity_identity_on_original_span(self, tone_440):
@@ -246,6 +255,12 @@ class TestReverb:
     def test_invalid_params(self, tone_440, kwargs):
         with pytest.raises(ParameterError):
             compound.reverb(tone_440, **kwargs)
+
+    # rejected even when no noise is drawn (zero intensity)
+    @pytest.mark.parametrize("intensity", [0.0, 0.3])
+    def test_negative_seed_rejected(self, tone_440, intensity):
+        with pytest.raises(ParameterError, match="seed"):
+            compound.reverb(tone_440, intensity, 0.2, seed=-1)
 
 
 def plain_reverb(x: AudioBuffer, intensity: float, duration_s: float, seed) -> AudioBuffer:
