@@ -3,7 +3,9 @@
 One binary, six subcommands: perturb a single file, build the offline desk
 corpus, run a campaign from a declarative config, calibrate the local
 keyword spotter, rank keywords for the discontinuity relation, and
-re-render a finished report. Machine
+re-render a finished report. ``perturb --mr`` takes a relation in the
+JSON ``{"kind", "params"}`` form of a config's ``mrs`` entry or a
+manifest case, checked by the same reader. Machine
 output (JSON or TSV) goes to stdout; anything meant for humans goes to
 stderr. Exit codes: 0 success, 1 usage or parameter error, 2 runtime
 failure, 3 campaign filtered every seed out.
@@ -13,12 +15,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import inspect
 import json
-import re
 import sys
 from pathlib import Path
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from . import __version__
 from .audio import WavFormatError, content_digest, read_wav, write_wav
@@ -38,7 +38,7 @@ from .errors import (
     DomainError,
     ParameterError,
 )
-from .perturb import OPS, Perturbation, normalize_kind
+from .perturb import OPS, Perturbation, check_relation, read_descriptor
 from .perturb.linguistic import (
     Transcript,
     benign_discontinuity_text,
@@ -60,34 +60,6 @@ EXIT_NO_SEEDS = 3
 # the text relations edit transcripts; the audio ones are perturb.OPS
 _TEXT_OPS = {"homophone": homophone_substitute, "discontinuity_text": benign_discontinuity_text}
 
-# a parameter becomes a flag exactly when its annotation has a converter
-_CONVERTERS = {float: float, int: int, str: str, Iterable[str]: str}
-
-# flags that are not the parameter name less its unit suffix
-_FLAG_ALIASES = {"target_snr_db": "snr", "clip_threshold": "threshold", "stop_marker": "marker"}
-
-# stop_marker sits before the required repeats, which callers pass
-# positionally, so its default cannot move into the signature
-_CLI_DEFAULTS = {"stop_marker": "..."}
-
-
-def _flag_table(fn) -> dict:
-    """flag -> (parameter name, converter, default) for fn's flag-bearing
-    parameters; a flag whose default is ``inspect.Parameter.empty`` is required."""
-    table = {}
-    for p in inspect.signature(fn, eval_str=True).parameters.values():
-        if p.annotation in _CONVERTERS:
-            flag = _FLAG_ALIASES.get(p.name) or re.sub(r"_(s|hz|db)$", "", p.name)
-            default = _CLI_DEFAULTS.get(p.name, p.default)
-            table[flag] = (p.name, _CONVERTERS[p.annotation], default)
-    return table
-
-
-# one flag table so argparse can reject unknown flags while kinds
-# validate their own subset
-_KIND_TABLES = {kind: _flag_table(fn) for kind, fn in {**OPS, **_TEXT_OPS}.items()}
-_ALL_FLAGS = sorted({flag for table in _KIND_TABLES.values() for flag in table})
-
 
 class _UsageError(Exception):
     pass
@@ -105,9 +77,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("perturb", help="apply one relation to one file")
-    p.add_argument("--mr", required=True, help="relation kind")
-    for flag in _ALL_FLAGS:
-        p.add_argument(f"--{flag}", default=None)
+    p.add_argument("--mr", required=True,
+                   help='relation as a config\'s "mrs" entry: {"kind": ..., "params": {...}}')
     p.add_argument("--transcript", default=None, help="aligned transcript (TSV)")
     p.add_argument("--lexicon", default=None, help="homophone lexicon (TSV)")
     p.add_argument("input")
@@ -145,49 +116,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _collect_params(args, kind: str) -> dict:
-    table = _KIND_TABLES[kind]
-    params = {}
-    extraneous = []
-    for flag in _ALL_FLAGS:
-        value = getattr(args, flag)
-        if value is None:
-            continue
-        if flag in table:
-            name, convert, _ = table[flag]
-            try:
-                params[name] = convert(value)
-            except ValueError:
-                raise _UsageError(f"--{flag} expects {convert.__name__}, got {value!r}")
-        else:
-            extraneous.append(f"--{flag}")
-    if extraneous:
-        raise _UsageError(f"{kind} does not take {', '.join(extraneous)}")
-    missing = []
-    for flag, (name, _, default) in table.items():
-        if name in params:
-            continue
-        if default is inspect.Parameter.empty:
-            missing.append(f"--{flag}")
-        else:
-            params[name] = default
-    if missing:
-        raise _UsageError(f"{kind} requires {', '.join(sorted(missing))}")
-    return params
-
-
 def _cmd_perturb(args) -> int:
-    kind = normalize_kind(args.mr)
-    if kind not in _KIND_TABLES:
-        raise _UsageError(
-            f"unknown relation {args.mr!r}; choose from {', '.join(sorted(_KIND_TABLES))}"
-        )
-    params = _collect_params(args, kind)
-    if "targets" in params:
-        params["targets"] = [t for t in params["targets"].split(",") if t]
+    try:
+        payload = json.loads(args.mr)
+    except ValueError as exc:
+        raise _UsageError(f"--mr must be a JSON relation descriptor: {exc}")
+    kind, params = read_descriptor(payload)
+    kind = check_relation(kind, params, {**OPS, **_TEXT_OPS})
+    if args.lexicon and kind != "homophone":
+        raise _UsageError(f"{kind} does not take --lexicon")
+    descriptor = {"kind": kind, "params": params, "output": args.output}
 
-    descriptor = {"kind": kind, "params": dict(params)}
     if kind in _TEXT_OPS:
+        if args.transcript:
+            raise _UsageError(f"{kind} does not take --transcript")
         transcript = load_transcript(args.input)
         if kind == "homophone":
             lexicon = load_lexicon(args.lexicon) if args.lexicon else default_lexicon()
@@ -195,7 +137,6 @@ def _cmd_perturb(args) -> int:
         else:
             out_t = benign_discontinuity_text(transcript, **params)
         save_transcript(out_t, args.output)
-        descriptor["output"] = args.output
         print(json.dumps(descriptor, sort_keys=True))
         print(render_text(out_t), file=sys.stderr)
         return EXIT_OK
@@ -206,9 +147,10 @@ def _cmd_perturb(args) -> int:
         if not args.transcript:
             raise _UsageError(f"{kind} requires --transcript")
         transcript = load_transcript(args.transcript)
+    elif args.transcript:
+        raise _UsageError(f"{kind} does not take --transcript")
     perturbed = perturbation.apply(read_wav(args.input), transcript)
     write_wav(perturbed, args.output)
-    descriptor["output"] = args.output
     descriptor["digest"] = content_digest(perturbed)
     print(json.dumps(descriptor, sort_keys=True))
     return EXIT_OK

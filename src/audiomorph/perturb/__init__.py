@@ -11,10 +11,10 @@ from __future__ import annotations
 import functools
 import inspect
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ..audio import AudioBuffer
-from ..errors import DomainError, ParameterError, read_params, reject_unknown_keys
+from ..errors import ConfigError, DomainError, read_params, reject_unknown_keys
 from . import basic, compound, linguistic
 
 PerturbationFn = Callable[..., AudioBuffer]
@@ -46,9 +46,42 @@ def normalize_kind(name: str) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _signature(kind: str) -> inspect.Signature:
-    # read once per kind; eval_str, as the op modules postpone annotations
-    return inspect.signature(OPS[kind], eval_str=True)
+def _signature(op: Callable) -> inspect.Signature:
+    # read once per op; eval_str, as the op modules postpone annotations
+    return inspect.signature(op, eval_str=True)
+
+
+#: arguments the caller hands an op beside its clip or transcript; they
+#: are inputs, not relation parameters
+_INPUTS = ("transcript", "lexicon")
+
+
+def read_descriptor(payload: Any) -> Tuple[Any, Any]:
+    """The kind and params of a ``{"kind", "params"}`` descriptor, as given;
+    params default to ``{}``. A payload that is not an object with a
+    ``kind``, or any other key, is a ConfigError naming the key."""
+    if not isinstance(payload, Mapping) or "kind" not in payload:
+        raise ConfigError(
+            f"relation descriptor must be an object with a 'kind', got {payload!r}", field="kind"
+        )
+    reject_unknown_keys(payload, ("kind", "params"), f"relation {payload['kind']!r}")
+    return payload["kind"], payload.get("params", {})
+
+
+def check_relation(kind: Any, params: Any, ops: Mapping[str, Callable]) -> str:
+    """The normalized ``kind``, once ``params`` pass read_params over the
+    parameters of its op in ``ops`` after the clip or transcript, less
+    ``_INPUTS``. A kind not in ``ops`` or params that are not an object is
+    a ConfigError naming ``kind`` or ``params``."""
+    if not (isinstance(kind, str) and normalize_kind(kind) in ops):
+        raise ConfigError(f"unknown relation kind {kind!r}", field="kind")
+    kind = normalize_kind(kind)
+    if not isinstance(params, Mapping):
+        raise ConfigError(f"relation {kind!r}: 'params' must be an object, got {params!r}",
+                          field="params")
+    parameters = list(_signature(ops[kind]).parameters.values())[1:]
+    read_params([p for p in parameters if p.name not in _INPUTS], params, f"relation {kind!r}")
+    return kind
 
 
 @dataclass(frozen=True)
@@ -60,21 +93,13 @@ class Perturbation:
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        kind = normalize_kind(self.kind)
-        if kind not in OPS:
-            raise ParameterError(f"unknown perturbation kind {self.kind!r}")
-        object.__setattr__(self, "kind", kind)
-        if not isinstance(self.params, Mapping):
-            raise ParameterError(f"{kind}: 'params' must be an object, got {self.params!r}")
+        # every value fails here, at config load, not on the first case
+        object.__setattr__(self, "kind", check_relation(self.kind, self.params, OPS))
         object.__setattr__(self, "params", dict(self.params))
-        # every value fails here, at config load, not on the first case; the
-        # clip (x) and the seed's transcript are the op's inputs, not parameters
-        params = [p for p in _signature(kind).parameters.values() if p.name != "transcript"]
-        read_params(params[1:], self.params, f"relation {kind!r}")
 
     @property
     def needs_transcript(self) -> bool:
-        return "transcript" in _signature(self.kind).parameters
+        return "transcript" in _signature(OPS[self.kind]).parameters
 
     def apply(
         self, audio: AudioBuffer, transcript: Optional[linguistic.Transcript] = None
@@ -99,12 +124,9 @@ class Perturbation:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "Perturbation":
-        """The relation of a ``{"kind", "params"}`` descriptor; any other key
-        is a ConfigError naming it."""
-        if not isinstance(payload, Mapping) or "kind" not in payload:
-            raise ParameterError("perturbation descriptor must be an object with a 'kind'")
-        reject_unknown_keys(payload, ("kind", "params"), f"relation {payload['kind']!r}")
-        return cls(payload["kind"], payload.get("params", {}))
+        """The relation of a ``{"kind", "params"}`` descriptor (read_descriptor)."""
+        return cls(*read_descriptor(payload))
 
 
-__all__ = ["OPS", "Perturbation", "PerturbationFn", "normalize_kind", "basic", "compound"]
+__all__ = ["OPS", "Perturbation", "PerturbationFn", "check_relation", "normalize_kind",
+           "read_descriptor", "basic", "compound"]

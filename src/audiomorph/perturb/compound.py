@@ -44,6 +44,9 @@ _BLOCK = 4096
 _MIN_ZERO_RUN = 32
 #: echo's output holds every tap, so their count is bounded before allocating
 MAX_ECHO_TAPS = 32
+#: seconds echo's taps (taps * delay_s) and reverb's tail (duration_s) may
+#: add to a clip, checked before the longer output is allocated
+MAX_TAIL_S = 10.0
 
 
 def _blocks(frames: int):
@@ -217,13 +220,18 @@ def distort(x: AudioBuffer, clip_threshold: float, drive: float) -> AudioBuffer:
 def echo(x: AudioBuffer, delay_s: float, decay: float, taps: int) -> AudioBuffer:
     """Feedforward delay line: y = x + sum_k decay^k * shift(x, k*delay),
     extended to hold the last tap; ``taps`` is at most 32
-    (``MAX_ECHO_TAPS``). decay 0 is the identity."""
+    (``MAX_ECHO_TAPS``) and ``taps * delay_s`` at most 10 s
+    (``MAX_TAIL_S``). decay 0 is the identity."""
     if not (math.isfinite(delay_s) and delay_s > 0):
         raise ParameterError(f"delay must be finite and positive, got {delay_s}")
     if not 0.0 <= decay < 1.0:
         raise ParameterError(f"decay must be in [0, 1), got {decay}")
     if not (isinstance(taps, (int, np.integer)) and 1 <= taps <= MAX_ECHO_TAPS):
         raise ParameterError(f"taps must be an integer in [1, {MAX_ECHO_TAPS}], got {taps}")
+    if taps * delay_s > MAX_TAIL_S:
+        raise ParameterError(
+            f"taps * delay_s must be at most {MAX_TAIL_S} s, got {taps} * {delay_s}"
+        )
     if decay == 0.0:
         return x
     d = int(round(delay_s * x.sample_rate))
@@ -263,12 +271,12 @@ def _impulse_spectrum(
 def reverb(x: AudioBuffer, intensity: float, duration_s: float, seed: int) -> AudioBuffer:
     """Convolve with a synthetic impulse response: a unit leading tap plus
     seed-deterministic noise under a 60 dB exponential decay over
-    duration_s, scaled by intensity. Output length is the full convolution
-    length."""
+    duration_s, scaled by intensity; ``duration_s`` is at most 10 s
+    (``MAX_TAIL_S``). Output length is the full convolution length."""
     if not (math.isfinite(intensity) and intensity >= 0.0):
         raise ParameterError(f"intensity must be finite and >= 0, got {intensity}")
-    if not (math.isfinite(duration_s) and duration_s >= 0.0):
-        raise ParameterError(f"duration must be finite and >= 0, got {duration_s}")
+    if not 0.0 <= duration_s <= MAX_TAIL_S:
+        raise ParameterError(f"duration_s must be in [0, {MAX_TAIL_S}] s, got {duration_s}")
     check_seed(seed)
     rate = x.sample_rate
     n_out = x.frames + int(round(duration_s * rate))

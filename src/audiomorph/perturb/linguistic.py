@@ -218,7 +218,8 @@ def _discontinuity_sites(
 def benign_discontinuity_text(
     t: Transcript,
     targets: Iterable[str],
-    stop_marker: str,
+    stop_marker: str = "...",
+    *,
     repeats: int,
 ) -> Transcript:
     """Before every target token, repeat its preceding token ``repeats``

@@ -186,7 +186,7 @@ class TestConfig:
             SeedSpec(seed_id="a", path=tmp_path / "a.wav", category="non_toxic")
 
     def test_unknown_mr_kind_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError, match="unknown relation kind 'transmogrify'"):
             Perturbation("transmogrify", {})
 
     def test_mr_kind_normalized(self):
@@ -197,7 +197,7 @@ class TestConfig:
             Perturbation("gain", {"decibels": 6.0})
 
     def test_non_object_mr_params_rejected(self):
-        with pytest.raises(ParameterError, match="'params' must be an object"):
+        with pytest.raises(ConfigError, match="'params' must be an object"):
             Perturbation.from_dict({"kind": "gain", "params": 5})
 
     def test_discontinuity_without_transcript_raises(self):

@@ -1,11 +1,12 @@
-"""Command line surface: exit codes, stdout machine-parseability, flag
-validation, and the wiring of every subcommand."""
+"""Command line surface: exit codes, stdout machine-parseability, relation
+descriptor validation, and the wiring of every subcommand."""
 
 import csv
 import inspect
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import audiomorph
-from audiomorph import __version__, cli
+from audiomorph import __version__, cli, deskcorpus
 from audiomorph.audio import content_digest, read_wav, write_wav
 from audiomorph.backends.fixture import save_fixtures
 from audiomorph.backends import Category, Verdict
@@ -49,7 +50,7 @@ class TestTopLevel:
 
     def test_unknown_flag_rejected(self, capsys, quiet_wav, tmp_path):
         code, _, _ = run_cli(
-            capsys, "perturb", "--mr", "gain", "--db", "6", "--sparkle", "yes",
+            capsys, "perturb", "--mr", '{"kind": "gain", "params": {"db": 6}}', "--sparkle", "yes",
             str(quiet_wav), str(tmp_path / "out.wav"),
         )
         assert code == 1
@@ -66,12 +67,16 @@ class TestTopLevel:
         assert __version__ in proc.stdout
 
 
+def mr(kind, **params):
+    """The ``--mr`` argument for a relation: its config descriptor as JSON."""
+    return json.dumps({"kind": kind, "params": params})
+
+
 class TestPerturb:
     def test_gain_six_db(self, capsys, quiet_wav, tmp_path):
         out = tmp_path / "out.wav"
         code, stdout, _ = run_cli(
-            capsys, "perturb", "--mr", "gain", "--db", "6.0206",
-            str(quiet_wav), str(out),
+            capsys, "perturb", "--mr", mr("gain", db=6.0206), str(quiet_wav), str(out),
         )
         assert code == 0
         descriptor = json.loads(stdout)
@@ -82,50 +87,71 @@ class TestPerturb:
         assert after / before == pytest.approx(2.0, rel=0.01)
         assert descriptor["digest"] == content_digest(read_wav(out))
 
-    def test_kebab_kind_and_carrier_alias(self, capsys, quiet_wav, tmp_path):
+    def test_kebab_kind(self, capsys, quiet_wav, tmp_path):
         out = tmp_path / "out.wav"
         code, stdout, _ = run_cli(
-            capsys, "perturb", "--mr", "ring-mod", "--carrier", "30",
-            str(quiet_wav), str(out),
+            capsys, "perturb", "--mr", mr("ring-mod", carrier_hz=30), str(quiet_wav), str(out),
         )
         assert code == 0
-        assert json.loads(stdout)["kind"] == "ring_mod"
-        assert out.exists()
+        assert json.loads(stdout) == {
+            "kind": "ring_mod", "params": {"carrier_hz": 30}, "output": str(out),
+            "digest": content_digest(read_wav(out)),
+        }
 
     def test_unknown_mr(self, capsys, quiet_wav, tmp_path):
         code, _, err = run_cli(
-            capsys, "perturb", "--mr", "sparkle", str(quiet_wav), str(tmp_path / "o.wav")
-        )
-        assert code == 1
-        assert "sparkle" in err
-
-    def test_wrong_flag_for_kind(self, capsys, quiet_wav, tmp_path):
-        code, _, err = run_cli(
-            capsys, "perturb", "--mr", "gain", "--db", "6", "--factor", "2",
+            capsys, "perturb", "--mr", '{"kind": "sparkle"}',
             str(quiet_wav), str(tmp_path / "o.wav"),
         )
         assert code == 1
-        assert "--factor" in err
+        assert "config error:" in err and "'sparkle'" in err and "(field: kind)" in err
 
-    def test_missing_required_flag(self, capsys, quiet_wav, tmp_path):
+    @pytest.mark.parametrize("arg, named", [
+        ("gain", "--mr"),
+        ('{"kind": "gain"', "--mr"),
+        ("[1]", "(field: kind)"),
+        ('{"params": {"db": 6}}', "(field: kind)"),
+    ])
+    def test_mr_not_a_descriptor(self, capsys, quiet_wav, tmp_path, arg, named):
+        code, stdout, err = run_cli(
+            capsys, "perturb", "--mr", arg, str(quiet_wav), str(tmp_path / "o.wav")
+        )
+        assert code == 1
+        assert stdout == "" and named in err
+        assert not (tmp_path / "o.wav").exists()
+
+    def test_wrong_param_for_kind(self, capsys, quiet_wav, tmp_path):
         code, _, err = run_cli(
-            capsys, "perturb", "--mr", "echo", "--delay", "0.25",
+            capsys, "perturb", "--mr", mr("gain", db=6, factor=2),
             str(quiet_wav), str(tmp_path / "o.wav"),
         )
         assert code == 1
-        assert "--decay" in err and "--taps" in err
+        assert "'factor'" in err and "(field: factor)" in err
 
-    def test_out_of_range_param(self, capsys, quiet_wav, tmp_path):
+    def test_missing_required_param(self, capsys, quiet_wav, tmp_path):
         code, _, err = run_cli(
-            capsys, "perturb", "--mr", "gain", "--db", "99",
+            capsys, "perturb", "--mr", mr("echo", delay_s=0.25),
             str(quiet_wav), str(tmp_path / "o.wav"),
         )
         assert code == 1
-        assert "parameter" in err
+        assert "missing 'decay'" in err and "(field: decay)" in err
+
+    @pytest.mark.parametrize("relation", [
+        mr("gain", db=99),
+        # tails too long to allocate: a parameter error, not a MemoryError
+        mr("echo", delay_s=1e9, decay=0.5, taps=1),
+        mr("reverb", intensity=0.3, duration_s=1e9, seed=1),
+    ], ids=["gain", "echo-tail", "reverb-tail"])
+    def test_out_of_range_param(self, capsys, quiet_wav, tmp_path, relation):
+        code, _, err = run_cli(
+            capsys, "perturb", "--mr", relation, str(quiet_wav), str(tmp_path / "o.wav"),
+        )
+        assert code == 1
+        assert "parameter error" in err
 
     def test_negative_seed_is_parameter_error(self, capsys, quiet_wav, tmp_path):
         code, _, err = run_cli(
-            capsys, "perturb", "--mr", "inject-noise", "--snr", "20", "--seed", "-1",
+            capsys, "perturb", "--mr", mr("inject-noise", target_snr_db=20, seed=-1),
             str(quiet_wav), str(tmp_path / "o.wav"),
         )
         assert code == 1
@@ -133,7 +159,7 @@ class TestPerturb:
 
     def test_unreadable_input(self, capsys, tmp_path):
         code, _, _ = run_cli(
-            capsys, "perturb", "--mr", "gain", "--db", "6",
+            capsys, "perturb", "--mr", mr("gain", db=6),
             str(tmp_path / "absent.wav"), str(tmp_path / "o.wav"),
         )
         assert code == 2
@@ -142,8 +168,7 @@ class TestPerturb:
         bad = tmp_path / "bad.wav"
         bad.write_bytes(b"RIFFxxxxWAVE")
         code, _, _ = run_cli(
-            capsys, "perturb", "--mr", "gain", "--db", "6",
-            str(bad), str(tmp_path / "o.wav"),
+            capsys, "perturb", "--mr", mr("gain", db=6), str(bad), str(tmp_path / "o.wav"),
         )
         assert code == 2
 
@@ -157,8 +182,8 @@ class TestPerturb:
         )
         out = tmp_path / "out.wav"
         code, stdout, _ = run_cli(
-            capsys, "perturb", "--mr", "discontinuity",
-            "--targets", "bitch", "--gap", "0.1", "--repeats", "3",
+            capsys, "perturb",
+            "--mr", mr("discontinuity", targets=["bitch"], gap_s=0.1, repeats=3),
             "--transcript", str(transcript), str(wav), str(out),
         )
         assert code == 0
@@ -170,26 +195,53 @@ class TestPerturb:
 
     def test_discontinuity_needs_transcript(self, capsys, quiet_wav, tmp_path):
         code, _, err = run_cli(
-            capsys, "perturb", "--mr", "discontinuity",
-            "--targets", "x", "--gap", "0.1", "--repeats", "2",
+            capsys, "perturb", "--mr", mr("discontinuity", targets=["x"], gap_s=0.1, repeats=2),
             str(quiet_wav), str(tmp_path / "o.wav"),
         )
         assert code == 1
         assert "--transcript" in err
+
+    @pytest.mark.parametrize("kind, params", [
+        ("gain", {"db": 6}),
+        ("discontinuity_text", {"targets": ["x"], "repeats": 2}),
+    ])
+    def test_transcript_rejected_where_not_taken(self, capsys, quiet_wav, tmp_path, kind, params):
+        words = tmp_path / "words.tsv"
+        words.write_text("x\t0.0\t0.1\n", encoding="utf-8")
+        code, stdout, err = run_cli(
+            capsys, "perturb", "--mr", mr(kind, **params), "--transcript", str(words),
+            str(quiet_wav), str(tmp_path / "o.out"),
+        )
+        assert code == 1
+        assert stdout == "" and f"{kind} does not take --transcript" in err
+        assert not (tmp_path / "o.out").exists()
+
+    @pytest.mark.parametrize("kind, params", [
+        ("gain", {"db": 6}),
+        ("discontinuity_text", {"targets": ["x"], "repeats": 2}),
+    ])
+    def test_lexicon_rejected_where_not_taken(self, capsys, quiet_wav, tmp_path, kind, params):
+        code, stdout, err = run_cli(
+            capsys, "perturb", "--mr", mr(kind, **params),
+            "--lexicon", str(tmp_path / "nonexistent.tsv"),
+            str(quiet_wav), str(tmp_path / "o.out"),
+        )
+        assert code == 1
+        assert stdout == "" and f"{kind} does not take --lexicon" in err
+        assert not (tmp_path / "o.out").exists()
 
     def test_homophone_text(self, capsys, tmp_path):
         src = tmp_path / "line.tsv"
         src.write_text("fuck\nyou\n", encoding="utf-8")
         out = tmp_path / "subbed.tsv"
         code, stdout, err = run_cli(
-            capsys, "perturb", "--mr", "homophone", "--targets", "fuck",
-            str(src), str(out),
+            capsys, "perturb", "--mr", mr("homophone", targets=["fuck"]), str(src), str(out),
         )
         assert code == 0
         descriptor = json.loads(stdout)
         assert descriptor["kind"] == "homophone"
-        # the omitted --seed is written into the descriptor as its default
-        assert descriptor["params"] == {"seed": 0, "targets": ["fuck"]}
+        # params are printed as given; the omitted seed takes its default
+        assert descriptor["params"] == {"targets": ["fuck"]}
         assert out.read_text().split() == ["folk", "you"]
         assert "folk you" in err
 
@@ -198,84 +250,94 @@ class TestPerturb:
         src.write_text("son\nof\na\nbitch\n", encoding="utf-8")
         out = tmp_path / "stuttered.tsv"
         code, _, err = run_cli(
-            capsys, "perturb", "--mr", "discontinuity-text",
-            "--targets", "bitch", "--repeats", "3", str(src), str(out),
+            capsys, "perturb", "--mr", mr("discontinuity-text", targets=["bitch"], repeats=3),
+            str(src), str(out),
         )
         assert code == 0
         assert "son of a... a... a... bitch" in err
 
-
-# The CLI contract written out by hand: flag -> (parameter name, converter)
-# per kind, plus the flags a kind fills in when omitted. The tables the CLI
-# reads from the op signatures must give exactly this, except that
-# discontinuity_text's --marker names the op's parameter, stop_marker.
-_REFERENCE_FLAGS = {
-    "time_stretch": {"factor": ("factor", float)},
-    "time_shift": {"delta": ("delta_s", float)},
-    "pan": {"position": ("position", float)},
-    "surround": {"rotation": ("rotation_hz", float)},
-    "pitch_shift": {"semitones": ("semitones", float)},
-    "inject_noise": {"snr": ("target_snr_db", float), "seed": ("seed", int)},
-    "repeat_segment": {
-        "start": ("start_s", float),
-        "end": ("end_s", float),
-        "count": ("count", int),
-    },
-    "gain": {"db": ("db", float)},
-    "compress": {"threshold": ("threshold_db", float), "ratio": ("ratio", float)},
-    "ring_mod": {"carrier": ("carrier_hz", float)},
-    "bass_boost": {"cutoff": ("cutoff_hz", float), "gain": ("gain_db", float)},
-    "tremolo": {"rate": ("rate_hz", float), "depth": ("depth", float)},
-    "distort": {"threshold": ("clip_threshold", float), "drive": ("drive", float)},
-    "echo": {"delay": ("delay_s", float), "decay": ("decay", float), "taps": ("taps", int)},
-    "reverb": {
-        "intensity": ("intensity", float),
-        "duration": ("duration_s", float),
-        "seed": ("seed", int),
-    },
-    "discontinuity": {
-        "targets": ("targets", str),
-        "gap": ("gap_s", float),
-        "repeats": ("repeats", int),
-    },
-    "discontinuity_text": {
-        "targets": ("targets", str),
-        "marker": ("marker", str),
-        "repeats": ("repeats", int),
-    },
-    "homophone": {"targets": ("targets", str), "seed": ("seed", int)},
-}
-
-_REFERENCE_DEFAULTS = {
-    "homophone": {"seed": 0},
-    "discontinuity_text": {"marker": "..."},
-}
+    @pytest.mark.parametrize("params, field", [
+        ({"targets": "bitch", "repeats": 3}, "targets"),
+        ({"targets": ["bitch"], "repeats": 3, "marker": "!"}, "marker"),
+        ({"targets": ["bitch"], "repeats": 3.0}, "repeats"),
+        ({"targets": ["bitch"]}, "repeats"),
+    ])
+    def test_text_params_read_as_given(self, capsys, tmp_path, params, field):
+        src = tmp_path / "line.tsv"
+        src.write_text("son\nof\na\nbitch\n", encoding="utf-8")
+        code, stdout, err = run_cli(
+            capsys, "perturb", "--mr", mr("discontinuity_text", **params),
+            str(src), str(tmp_path / "out.tsv"),
+        )
+        assert code == 1
+        assert stdout == "" and "config error: relation 'discontinuity_text'" in err
+        assert f"(field: {field})" in err
 
 
-class TestFlagTables:
-    def test_every_kind_has_a_table(self):
-        assert set(cli._KIND_TABLES) == set(_REFERENCE_FLAGS)
+def test_manifest_cases_reproduce_through_perturb(capsys, tmp_path):
+    """Each case of the desk replay manifest, its relation pasted into
+    ``perturb --mr``, gives the clip whose digest the manifest records."""
+    deskcorpus.build_corpus(tmp_path, base_seed=100)
+    recorded = Path(__file__).parent / "data" / "desk_replay" / "manifest.json"
+    cases = json.loads(recorded.read_text(encoding="utf-8"))["cases"]
+    assert len(cases) == 48
+    for i, case in enumerate(cases):
+        seed_wav = tmp_path / "seeds" / f"{case['seed_id']}.wav"
+        out = tmp_path / f"case{i}.wav"
+        code, stdout, err = run_cli(
+            capsys, "perturb", "--mr", json.dumps(case["mr"]), str(seed_wav), str(out)
+        )
+        assert code == 0, err
+        assert json.loads(stdout)["digest"] == case["digest"], case
 
-    @pytest.mark.parametrize("kind", sorted(_REFERENCE_FLAGS))
-    def test_derived_table_matches_reference(self, kind):
-        reference = _REFERENCE_FLAGS[kind]
-        defaults = _REFERENCE_DEFAULTS.get(kind, {})
-        derived = cli._KIND_TABLES[kind]
-        assert set(derived) == set(reference)
-        for flag, (name, convert) in reference.items():
-            derived_name, derived_convert, default = derived[flag]
-            if (kind, flag) == ("discontinuity_text", "marker"):
-                assert derived_name == "stop_marker"
-            else:
-                assert derived_name == name
-            assert derived_convert is convert
-            if flag in defaults:
-                assert default == defaults[flag]
-        required = {
-            flag for flag, (_, _, default) in derived.items()
-            if default is inspect.Parameter.empty
-        }
-        assert required == set(reference) - set(defaults)
+
+@pytest.mark.parametrize("mr_entry, field", [
+    ({"kind": "gain", "params": {"db": "6"}}, "db"),
+    ({"kind": "gain", "params": {"db": 6, "decibels": 6}}, "decibels"),
+    ({"kind": "gain", "parms": {"db": 6}}, "parms"),
+    ({"kind": "echo", "params": {"delay_s": 0.25, "taps": 3}}, "decay"),
+    ({"kind": "sparkle", "params": {}}, "kind"),
+    ({"kind": 5}, "kind"),
+    ({"kind": "gain", "params": 6}, "params"),
+])
+def test_relation_errors_match_between_perturb_and_config(
+    capsys, quiet_wav, tmp_path, mr_entry, field
+):
+    """A bad relation reads the same from ``perturb --mr`` as from a
+    config's ``mrs`` entry."""
+    code, _, perturb_err = run_cli(
+        capsys, "perturb", "--mr", json.dumps(mr_entry), str(quiet_wav), str(tmp_path / "o.wav")
+    )
+    assert code == 1
+    config = _write_campaign(tmp_path)
+    campaign = json.loads(config.read_text())
+    campaign["mrs"] = [mr_entry]
+    config.write_text(json.dumps(campaign), encoding="utf-8")
+    code, _, config_err = run_cli(capsys, "campaign", str(config))
+    assert code == 1
+    assert perturb_err == config_err
+    assert perturb_err.startswith("config error:") and f"(field: {field})" in perturb_err
+
+
+def _readme_perturb_commands():
+    """Every ``audiomorph perturb`` command in README, continuation lines joined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("audiomorph perturb ")]
+
+
+def test_readme_perturb_examples_run(capsys, tmp_path, monkeypatch):
+    commands = _readme_perturb_commands()
+    assert len(commands) >= 7
+    monkeypatch.chdir(tmp_path)
+    write_wav(sine(200.0, duration_s=1.0, amplitude=0.3), tmp_path / "in.wav")
+    (tmp_path / "words.tsv").write_text(
+        "son\t0.0\t0.2\nof\t0.2\t0.4\na\t0.4\t0.6\nbitch\t0.6\t0.9\n", encoding="utf-8"
+    )
+    (tmp_path / "in.txt").write_text("fuck\nyou\nson\nof\na\nbitch\n", encoding="utf-8")
+    for command in commands:
+        code, _, err = run_cli(capsys, *shlex.split(command)[1:])
+        assert code == 0, f"{command}: {err}"
 
 
 def _readme_inventory():
@@ -293,11 +355,16 @@ def _readme_inventory():
 
 def test_readme_inventory_matches_signatures():
     rows = _readme_inventory()
-    for kind in [*OPS, *cli._TEXT_OPS]:
+    ops = {**OPS, **cli._TEXT_OPS}
+    for kind, op in ops.items():
         assert kind in rows, f"README inventory has no row for {kind}"
-        params = [name for name, _, _ in cli._KIND_TABLES[kind].values()]
+        # the parameters after the clip or transcript, less the inputs
+        params = [
+            name for name in list(inspect.signature(op).parameters)[1:]
+            if name not in ("transcript", "lexicon")
+        ]
         assert rows[kind] == params, f"README row for {kind} lists {rows[kind]}"
-    assert set(rows) == set(OPS) | set(cli._TEXT_OPS)
+    assert set(rows) == set(ops)
 
 
 def _write_campaign(tmp_path, categories=("insult", "porn"), toxic_fixture=True):
@@ -457,7 +524,7 @@ class TestCampaign:
         assert code == 1
         assert "config error:" in err and named in err
 
-    def test_replay_of_non_object_relation_is_parameter_error(self, capsys, tmp_path):
+    def test_replay_of_non_object_relation_is_config_error(self, capsys, tmp_path):
         manifest_path = self._edited_manifest(
             capsys, tmp_path, lambda m, d: m["mrs"].__setitem__(0, 5)
         )
@@ -465,7 +532,7 @@ class TestCampaign:
             capsys, "campaign", str(tmp_path / "replayed"), "--replay", str(manifest_path)
         )
         assert code == 1
-        assert "parameter error:" in err and "'kind'" in err
+        assert "config error:" in err and "'kind'" in err
 
     def test_replay_of_verdicts_without_confidence(self, capsys, tmp_path):
         # confidence is optional in a verdict table, as in any fixture file

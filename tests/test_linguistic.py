@@ -188,7 +188,7 @@ class TestDiscontinuityText:
             for i in range(len(tokens) - 1)
             if tokens[i + 1].lower() in targets
         )
-        out = lng.benign_discontinuity_text(t, targets, "...", repeats)
+        out = lng.benign_discontinuity_text(t, targets, "...", repeats=repeats)
         growth_per_site = (repeats - 1) + repeats  # extra copies + markers
         assert len(out.tokens) == len(tokens) + sites * growth_per_site
 

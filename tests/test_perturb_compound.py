@@ -218,6 +218,14 @@ class TestEcho:
         out = compound.echo(tone_440, delay_s=0.01, decay=0.5, taps=compound.MAX_ECHO_TAPS)
         assert out.frames == tone_440.frames + compound.MAX_ECHO_TAPS * int(0.01 * RATE)
 
+    def test_tail_bounded_before_allocating(self, tone_440):
+        # delay_s=1e9 would ask for over a hundred terabytes
+        for taps, delay_s in [(1, 1e9), (4, 2.5001), (compound.MAX_ECHO_TAPS, 0.5)]:
+            with pytest.raises(ParameterError, match="delay_s"):
+                compound.echo(tone_440, delay_s=delay_s, decay=0.5, taps=taps)
+        out = compound.echo(tone_440, delay_s=2.5, decay=0.5, taps=4)
+        assert out.frames == tone_440.frames + int(compound.MAX_TAIL_S * RATE)
+
 
 class TestReverb:
     def test_zero_intensity_identity_on_original_span(self, tone_440):
@@ -261,6 +269,13 @@ class TestReverb:
     def test_negative_seed_rejected(self, tone_440, intensity):
         with pytest.raises(ParameterError, match="seed"):
             compound.reverb(tone_440, intensity, 0.2, seed=-1)
+
+    def test_tail_bounded_before_allocating(self, tone_440):
+        for duration_s in (1e9, compound.MAX_TAIL_S + 0.001):
+            with pytest.raises(ParameterError, match="duration_s"):
+                compound.reverb(tone_440, 0.3, duration_s, seed=1)
+        out = compound.reverb(tone_440, 0.3, compound.MAX_TAIL_S, seed=1)
+        assert out.frames == tone_440.frames + int(compound.MAX_TAIL_S * RATE)
 
 
 def plain_reverb(x: AudioBuffer, intensity: float, duration_s: float, seed) -> AudioBuffer:
