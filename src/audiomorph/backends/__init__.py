@@ -62,9 +62,14 @@ class ModerationBackend:
     """Interface every backend implements. ``moderate`` is total: it returns
     exactly one Verdict or raises one of the typed backend errors
     (unavailable / missing fixture / mapping). ``digest`` is
-    ``content_digest(audio)``, computed once by the caller."""
+    ``content_digest(audio)``, computed once by the caller.
+
+    ``reads_audio`` is False for a backend that answers from the digest
+    alone; a campaign may then pass None for the clip, and when no backend
+    reads audio it generates its cases in worker processes at workers > 1."""
 
     name: str = "backend"
+    reads_audio: bool = True
 
     def moderate(self, audio: AudioBuffer, digest: str) -> Verdict:
         raise NotImplementedError

@@ -6,13 +6,20 @@ every configured relation to every retained seed, sends the perturbed clips
 to every backend, and counts how often a backend that should still flag the
 clip answers non_toxic instead. ``run_campaign`` runs five stages: load
 (``_load_seeds``), probe (``filter_seeds``, the seed filter), generate+query
-(``_run_cases``: one job per case perturbs, digests, writes and queries, so
-perturbed clips never pile up), tally (``_tally``) and emit (``_emit``:
+(``_run_cases``: one job per case perturbs, digests and writes its artifact,
+so perturbed clips never pile up), tally (``_tally``) and emit (``_emit``:
 manifest, report.json, report.csv). Every query goes through one
 ``VerdictStore``, which asks each backend about each digest once. Artifacts
 are content-addressed 16-bit WAVs next to a JSON manifest, so a finished
 campaign can be replayed offline against fixture backends and must reproduce
 its report byte for byte.
+
+A case job runs in a pool thread, which also asks the backends about its
+clip. When no backend reads the clip (``reads_audio``), as in every replay,
+and there are several workers, the jobs run in forked worker processes
+instead (on Linux), which return only the case, and the campaign asks about each
+digest in job order: perturbation holds the GIL, and a clip sent back
+across the process boundary would cost more than the extra process saves.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import sys
 import tempfile
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -280,11 +288,14 @@ class VerdictStore:
         self._lock = threading.Lock()
         self._answers: Dict[Tuple[str, str], Future] = {}
 
-    def ask_all(self, audio: AudioBuffer, digest: str) -> Tuple[Optional[Verdict], ...]:
-        """One verdict per backend, in backend order."""
+    def ask_all(self, audio: Optional[AudioBuffer], digest: str) -> Tuple[Optional[Verdict], ...]:
+        """One verdict per backend, in backend order; ``audio`` is None only
+        when no backend reads it."""
         return tuple(self._ask(backend, audio, digest) for backend in self.backends)
 
-    def _ask(self, backend: ModerationBackend, audio: AudioBuffer, digest: str) -> Optional[Verdict]:
+    def _ask(
+        self, backend: ModerationBackend, audio: Optional[AudioBuffer], digest: str
+    ) -> Optional[Verdict]:
         key = (backend.name, digest)
         with self._lock:
             answer = self._answers.get(key)
@@ -385,24 +396,73 @@ def _write_artifact(audio: AudioBuffer, path: Path) -> None:
 Outcome = Tuple[TestCase, Tuple[Optional[Verdict], ...]]
 
 
+def _generate(
+    seed: LoadedSeed, mr: Perturbation, output_dir: Path
+) -> Tuple[TestCase, AudioBuffer]:
+    """One case: perturb the seed with the relation, digest the clip and
+    write its artifact."""
+    perturbed = mr.apply(seed.audio, seed.transcript)
+    digest = content_digest(perturbed)
+    artifact = f"artifacts/{digest}.wav"
+    _write_artifact(perturbed, output_dir / artifact)
+    return TestCase(seed.spec.seed_id, mr, digest, artifact, seed.spec.category), perturbed
+
+
+# (seeds, output_dir) of a worker process, set by the pool's initializer;
+# fork hands them over without pickling the seed audio
+_worker_inputs: Tuple[Sequence[LoadedSeed], Path] = ((), Path())
+
+
+def _init_worker(seeds: Sequence[LoadedSeed], output_dir: Path) -> None:
+    global _worker_inputs
+    _worker_inputs = (seeds, output_dir)
+
+
+def _generate_in_worker(job: Tuple[int, Perturbation]) -> TestCase:
+    seeds, output_dir = _worker_inputs
+    return _generate(seeds[job[0]], job[1], output_dir)[0]
+
+
 def _run_cases(
     seeds: Sequence[LoadedSeed], verdicts: VerdictStore, config: CampaignConfig
 ) -> List[Outcome]:
     """Stage 3, generate and query: each job perturbs one seed with one
-    relation, digests the clip, writes its artifact and asks every backend,
-    so a perturbed clip lives only as long as its job. Results keep job
-    order (seed-major), which keeps the tally deterministic."""
+    relation, digests the clip and writes its artifact, so a perturbed clip
+    lives only as long as its job. Results keep job order (seed-major),
+    which keeps the tally deterministic.
 
-    def run_case(job: Tuple[LoadedSeed, Perturbation]) -> Outcome:
-        seed, mr = job
-        perturbed = mr.apply(seed.audio, seed.transcript)
-        digest = content_digest(perturbed)
-        artifact = f"artifacts/{digest}.wav"
-        _write_artifact(perturbed, config.output_dir / artifact)
-        case = TestCase(seed.spec.seed_id, mr, digest, artifact, seed.spec.category)
-        return case, verdicts.ask_all(perturbed, digest)
+    A pool thread runs each job and asks every backend about its clip. When
+    no backend reads the clip and workers > 1, forked worker processes run
+    the jobs and return their cases, and the backends are asked here, in
+    job order. Fork needs the probe's threads to be joined, as they are,
+    and no native library to run threads of its own: that holds on Linux,
+    while on macOS system libraries such as Accelerate (which numpy may
+    link) can, so elsewhere the jobs stay on threads."""
+    jobs = [(i, mr) for i in range(len(seeds)) for mr in config.mrs]
+    if (
+        config.workers > 1
+        and sys.platform.startswith("linux")
+        and not any(b.reads_audio for b in verdicts.backends)
+    ):
+        # imported here: the pool's modules would add about 1 MB to the
+        # resident memory of every campaign, also those on threads
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    jobs = [(s, m) for s in seeds for m in config.mrs]
+        with ProcessPoolExecutor(
+            config.workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker,
+            initargs=(seeds, config.output_dir),
+        ) as pool:
+            chunksize = max(1, len(jobs) // (4 * config.workers))
+            cases = list(pool.map(_generate_in_worker, jobs, chunksize=chunksize))
+        return [(case, verdicts.ask_all(None, case.digest)) for case in cases]
+
+    def run_case(job: Tuple[int, Perturbation]) -> Outcome:
+        case, perturbed = _generate(seeds[job[0]], job[1], config.output_dir)
+        return case, verdicts.ask_all(perturbed, case.digest)
+
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
         return list(pool.map(run_case, jobs))
 

@@ -20,6 +20,9 @@ _STRETCH_FRAME_S = 0.050
 _STRETCH_TOL_S = 0.005
 #: grains windowed and added at a time by the overlap-add
 _OLA_GRAINS = 32
+#: seconds an op may add to a clip (echo's taps, reverb's tail, repeat_segment's
+#: copies, discontinuity's stutters), checked before the longer output is allocated
+MAX_TAIL_S = 10.0
 
 
 def check_seed(seed) -> None:
@@ -111,8 +114,7 @@ def time_stretch(x: AudioBuffer, factor: float) -> AudioBuffer:
 
     out, weight = _overlap_add(x.samples, starts, window, hop)
     out, weight = out[:, :n_out], weight[:n_out]
-    voiced = weight > 1e-8
-    out[:, voiced] /= weight[voiced]
+    np.divide(out, weight, out=out, where=weight > 1e-8)
     return AudioBuffer(clamp(out), rate)
 
 
@@ -190,7 +192,8 @@ def inject_noise(x: AudioBuffer, target_snr_db: float, seed: int) -> AudioBuffer
 
 def repeat_segment(x: AudioBuffer, start_s: float, end_s: float, count: int) -> AudioBuffer:
     """Duplicate the [start_s, end_s) span ``count`` extra times in place;
-    duration grows by count*(end_s - start_s)."""
+    duration grows by count*(end_s - start_s) to the frame, at most 10 s
+    (``MAX_TAIL_S``) of copied frames."""
     if not (isinstance(count, (int, np.integer)) and count >= 1):
         raise ParameterError(f"count must be an integer >= 1, got {count}")
     if not 0.0 <= start_s < end_s <= x.duration + 1e-12:
@@ -203,6 +206,13 @@ def repeat_segment(x: AudioBuffer, start_s: float, end_s: float, count: int) -> 
     i1 = min(i1, x.frames)
     if i1 <= i0:
         raise ParameterError("segment rounds to zero frames")
+    # the frames actually copied, not the seconds asked for: a sub-frame
+    # span rounds up to one frame
+    if int(count) * (i1 - i0) > MAX_TAIL_S * x.sample_rate:
+        raise ParameterError(
+            f"count * segment must be at most {MAX_TAIL_S} s, "
+            f"got {count} * {i1 - i0} frames"
+        )
     segment = x.samples[:, i0:i1]
     parts = [x.samples[:, :i1]] + [segment] * count + [x.samples[:, i1:]]
     return AudioBuffer(np.concatenate(parts, axis=1), x.sample_rate)

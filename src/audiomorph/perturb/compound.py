@@ -33,7 +33,7 @@ import numpy as np
 
 from ..audio import AudioBuffer, clamp
 from ..errors import ParameterError
-from .basic import check_seed, time_shift
+from .basic import MAX_TAIL_S, check_seed, time_shift
 
 _RMS_WINDOW_S = 0.010
 _ATTACK_S = 0.010
@@ -44,9 +44,6 @@ _BLOCK = 4096
 _MIN_ZERO_RUN = 32
 #: echo's output holds every tap, so their count is bounded before allocating
 MAX_ECHO_TAPS = 32
-#: seconds echo's taps (taps * delay_s) and reverb's tail (duration_s) may
-#: add to a clip, checked before the longer output is allocated
-MAX_TAIL_S = 10.0
 
 
 def _blocks(frames: int):

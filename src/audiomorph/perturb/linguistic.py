@@ -17,7 +17,7 @@ import numpy as np
 
 from ..audio import AudioBuffer
 from ..errors import ConfigError, DomainError, ParameterError
-from .basic import check_seed
+from .basic import MAX_TAIL_S, check_seed
 
 LANGUAGES = ("EN", "ZH")
 
@@ -243,7 +243,8 @@ def benign_discontinuity_audio(
     """Audio-level sibling of the text op: each token preceding a target
     has its aligned span duplicated ``repeats`` times, with gap_s of
     silence after every occurrence. Duration grows by
-    (repeats-1)*span + repeats*gap_s per site, exact to one frame."""
+    (repeats-1)*span + repeats*gap_s per site, exact to one frame, and at
+    most 10 s over all sites (``MAX_TAIL_S``)."""
     sites = _discontinuity_sites(transcript.tokens, targets, repeats)
     if not (math.isfinite(gap_s) and gap_s >= 0):
         raise ParameterError(f"gap must be finite and >= 0 s, got {gap_s}")
@@ -254,18 +255,24 @@ def benign_discontinuity_audio(
         raise DomainError("alignment extends past the end of the audio")
     rate = x.sample_rate
     gap_frames = int(round(gap_s * rate))
-    silence = np.zeros((x.channels, gap_frames))
+    spans = [(int(round(alignment[i][0] * rate)), int(round(alignment[i][1] * rate)))
+             for i in sites]
+    growth = sum((int(repeats) - 1) * (end - start) + int(repeats) * gap_frames
+                 for start, end in spans)
+    if growth > MAX_TAIL_S * rate:
+        raise ParameterError(
+            f"repeats={repeats} and gap_s={gap_s} add {growth / rate:.3f} s over "
+            f"{len(sites)} sites, more than {MAX_TAIL_S} s"
+        )
 
+    # one piece per site, however many repeats: an empty span and gap
+    # add no frames but would otherwise add 2 * repeats pieces
     pieces: List[np.ndarray] = []
     cursor = 0
-    for i in sites:
-        start = int(round(alignment[i][0] * rate))
-        end = int(round(alignment[i][1] * rate))
+    for start, end in spans:
         pieces.append(x.samples[:, cursor:start])
-        span = x.samples[:, start:end]
-        for _ in range(repeats):
-            pieces.append(span)
-            pieces.append(silence)
+        stutter = np.pad(x.samples[:, start:end], ((0, 0), (0, gap_frames)))
+        pieces.append(np.tile(stutter, repeats))
         cursor = end
     pieces.append(x.samples[:, cursor:])
     return AudioBuffer(np.concatenate(pieces, axis=1), rate)

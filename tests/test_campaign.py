@@ -4,6 +4,7 @@ replay determinism, and the retraining export."""
 import dataclasses
 import json
 import math
+import multiprocessing
 import shutil
 import time
 from pathlib import Path
@@ -11,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from audiomorph.audio import content_digest, read_wav, write_wav
+from audiomorph import campaign, deskcorpus
+from audiomorph.audio import AudioBuffer, content_digest, read_wav, write_wav
 from audiomorph.backends import Category, ModerationBackend, Verdict
 from audiomorph.backends.fixture import FixtureBackend
 from audiomorph.campaign import (
@@ -508,39 +510,41 @@ class TestReplay:
         assert replayed.report_csv.read_bytes() == (tmp_path / original.report_csv).read_bytes()
 
 
+def _transcribed_tree(root, transcribed=("a", "b")):
+    """A discontinuity campaign over insult seeds a and b under ``root``,
+    with aligned transcripts for those in ``transcribed``; returns the
+    config and the seed digests."""
+    (root / "seeds").mkdir(parents=True)
+    digests = []
+    seeds = []
+    for i, name in enumerate(("a", "b")):
+        _, buf = _make_seed(root / "seeds", name, 300.0 + 100 * i, "insult")
+        digests.append(content_digest(buf))
+        seed = {"id": name, "path": f"seeds/{name}.wav", "category": "insult"}
+        if name in transcribed:
+            (root / "seeds" / f"{name}.tsv").write_text(
+                "son\t0.0\t0.2\nof\t0.2\t0.3\nbitch\t0.3\t0.45\n", encoding="utf-8"
+            )
+            seed["transcript"] = f"seeds/{name}.tsv"
+        seeds.append(seed)
+    config = {
+        "seeds": seeds,
+        "mrs": [
+            {"kind": "discontinuity",
+             "params": {"targets": ["bitch"], "gap_s": 0.05, "repeats": 2}}
+        ],
+        "backends": [{"kind": "fixture", "path": "unused.json"}],
+        "output_dir": "out",
+    }
+    return CampaignConfig.from_dict(config, root), digests
+
+
 class TestTranscriptRelations:
     """A campaign over a relation that edits aligned words: each seed's
     transcript is loaded, handed to the op and recorded in the manifest."""
 
-    def _tree(self, root, transcribed=("a", "b")):
-        """Insult seeds a and b under ``root``, with aligned transcripts for
-        those in ``transcribed``; returns the config and the seed digests."""
-        (root / "seeds").mkdir(parents=True)
-        digests = []
-        seeds = []
-        for i, name in enumerate(("a", "b")):
-            _, buf = _make_seed(root / "seeds", name, 300.0 + 100 * i, "insult")
-            digests.append(content_digest(buf))
-            seed = {"id": name, "path": f"seeds/{name}.wav", "category": "insult"}
-            if name in transcribed:
-                (root / "seeds" / f"{name}.tsv").write_text(
-                    "son\t0.0\t0.2\nof\t0.2\t0.3\nbitch\t0.3\t0.45\n", encoding="utf-8"
-                )
-                seed["transcript"] = f"seeds/{name}.tsv"
-            seeds.append(seed)
-        config = {
-            "seeds": seeds,
-            "mrs": [
-                {"kind": "discontinuity",
-                 "params": {"targets": ["bitch"], "gap_s": 0.05, "repeats": 2}}
-            ],
-            "backends": [{"kind": "fixture", "path": "unused.json"}],
-            "output_dir": "out",
-        }
-        return CampaignConfig.from_dict(config, root), digests
-
     def test_runs_and_replays_from_a_moved_tree(self, tmp_path):
-        config, digests = self._tree(tmp_path / "tree")
+        config, digests = _transcribed_tree(tmp_path / "tree")
         backend = ScriptedBackend("b", {d: Category.INSULT for d in digests})
         report = run_campaign(config, backends=[backend])
         manifest = json.loads(report.manifest.read_text(encoding="utf-8"))
@@ -559,7 +563,7 @@ class TestTranscriptRelations:
         assert replayed.report_csv.read_bytes() == (moved / "out" / "report.csv").read_bytes()
 
     def test_seed_without_transcript_rejected_before_any_query(self, tmp_path):
-        config, digests = self._tree(tmp_path, transcribed=("a",))
+        config, digests = _transcribed_tree(tmp_path, transcribed=("a",))
         backend = ScriptedBackend("b", {d: Category.INSULT for d in digests})
         with pytest.raises(ConfigError, match=r"transcripts; seeds without one: \['b'\]") as err:
             run_campaign(config, backends=[backend])
@@ -644,6 +648,117 @@ class TestQueryOnce:
             louder = basic.gain(seed, 6.0)
             with pytest.raises(MissingFixtureError, match="recorded no answer"):
                 fixture.moderate(louder, content_digest(louder))
+
+
+def _outputs(report):
+    """What a campaign leaves behind: its report bytes, manifest cases and
+    artifact files by name and bytes."""
+    artifacts = sorted((report.output_dir / "artifacts").iterdir())
+    return (
+        report.report_json.read_bytes(),
+        report.report_csv.read_bytes(),
+        json.loads(report.manifest.read_text(encoding="utf-8"))["cases"],
+        [(path.name, path.read_bytes()) for path in artifacts],
+    )
+
+
+class TestProcessPath:
+    """A replay at workers > 1 generates its cases in forked worker
+    processes, since its fixture backends answer from the digest alone; it
+    must leave the same bytes as the pool threads of workers=1."""
+
+    def _compound_tree(self, root):
+        """A recorded campaign over compound relations and a discontinuity
+        on two transcribed seeds; returns its manifest path."""
+        config, digests = _transcribed_tree(root)
+        mrs = config.mrs + tuple(
+            Perturbation.from_dict(d) for d in (
+                {"kind": "compress", "params": {"threshold_db": -20.0, "ratio": 4.0}},
+                {"kind": "echo", "params": {"delay_s": 0.05, "decay": 0.4, "taps": 2}},
+                {"kind": "reverb", "params": {"intensity": 0.3, "duration_s": 0.1, "seed": 3}},
+                {"kind": "time_stretch", "params": {"factor": 1.15}},
+            )
+        )
+        config = dataclasses.replace(config, mrs=mrs, workers=1)
+        backend = ScriptedBackend("b", {d: Category.INSULT for d in digests})
+        return run_campaign(config, backends=[backend]).manifest
+
+    def _desk_tree(self, root):
+        """The checked-in desk campaign, in a freshly built corpus."""
+        deskcorpus.build_corpus(root, base_seed=100)
+        (root / "out").mkdir()
+        recorded = Path(__file__).parent / "data" / "desk_replay" / "manifest.json"
+        shutil.copy(recorded, root / "out" / "manifest.json")
+        return root / "out" / "manifest.json"
+
+    @pytest.mark.parametrize("tree", ["_desk_tree", "_compound_tree"])
+    def test_same_bytes_at_one_and_three_workers(self, tmp_path, tree):
+        manifest = getattr(self, tree)(tmp_path / "tree")
+        threads = replay_campaign(manifest, tmp_path / "w1", workers=1)
+        processes = replay_campaign(manifest, tmp_path / "w3", workers=3)
+        assert multiprocessing.active_children() == []
+        assert _outputs(processes) == _outputs(threads)
+
+    def test_errors_cross_the_process_boundary(self, tmp_path):
+        _, loud = _make_seed(tmp_path, "loud", 300.0, "insult")
+        write_wav(AudioBuffer(np.zeros(8000), 16000), tmp_path / "quiet.wav")
+        tables = {content_digest(loud): {"category": "insult", "confidence": None},
+                  content_digest(read_wav(tmp_path / "quiet.wav")): {"category": "spam"}}
+        manifest = {
+            "seeds": [{"id": name, "path": f"{name}.wav", "category": "insult"}
+                      for name in ("loud", "quiet")],
+            "mrs": [{"kind": "gain", "params": {"db": 6.0}},
+                    {"kind": "inject_noise", "params": {"target_snr_db": 20.0, "seed": 1}}],
+            "backends": ["b"],
+            "verdicts": {"b": tables},
+            "cases": [],
+        }
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        raised = []
+        for workers in (1, 2):
+            with pytest.raises(DomainError) as err:
+                replay_campaign(path, tmp_path / f"w{workers}", workers=workers)
+            raised.append((type(err.value), str(err.value)))
+        assert raised[0] == raised[1] == (DomainError, "cannot target an SNR against silent input")
+        assert multiprocessing.active_children() == []
+
+    def test_clip_only_withheld_when_no_backend_reads_it(self, tmp_path):
+        config, specs, buffers = _campaign_fixture(tmp_path, n_seeds=2)
+        script = {content_digest(buffers[s.seed_id]): s.category for s in specs}
+        table = {digest: Verdict(category) for digest, category in script.items()}
+
+        class SeenFixture(FixtureBackend):
+            def moderate(self, audio, digest):
+                seen.append(audio)
+                return super().moderate(audio, digest)
+
+        for backends, clip_given in [
+            ([SeenFixture(table, name="f")], False),
+            ([SeenFixture(table, name="f"), ScriptedBackend("b", script)], True),
+        ]:
+            seen = []
+            run_campaign(config, backends=backends)  # config.workers == 3
+            perturbed = seen[len(specs):]  # after the probe's seed queries
+            assert perturbed
+            assert all(isinstance(a, AudioBuffer) == clip_given for a in perturbed)
+            assert all(isinstance(a, AudioBuffer) for a in seen[: len(specs)])
+
+    def test_threads_kept_off_linux(self, tmp_path, monkeypatch):
+        # fork is unsafe where native libraries may run threads (macOS)
+        config, specs, buffers = _campaign_fixture(tmp_path, n_seeds=2)
+        table = {content_digest(buffers[s.seed_id]): Verdict(s.category) for s in specs}
+        seen = []
+
+        class SeenFixture(FixtureBackend):
+            def moderate(self, audio, digest):
+                seen.append(audio)
+                return super().moderate(audio, digest)
+
+        monkeypatch.setattr(campaign.sys, "platform", "darwin")
+        run_campaign(config, backends=[SeenFixture(table, name="f")])  # workers == 3
+        assert len(seen) > len(specs)
+        assert all(isinstance(a, AudioBuffer) for a in seen)
 
 
 class TestExportRetrainingSet:

@@ -2,6 +2,7 @@
 substitution semantics, and discontinuity arithmetic."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +258,47 @@ class TestDiscontinuityAudio:
         t = T("a", "bitch", alignment=((0.0, 1.0), (1.5, 2.5)))
         with pytest.raises(DomainError):
             lng.benign_discontinuity_audio(audio, t, {"bitch"}, 0.5, 2)
+
+    def test_growth_bounded_before_allocating(self):
+        audio, t = self._fixture()
+        # the 0.4 s span of "a" and its gaps, summed over the one site; the
+        # small values go first, so a missing bound fails before 10**9 repeats
+        for gap_s, repeats in [(0.0, 27), (5.0, 2), (1e9, 1), (0.0, 10**9)]:
+            with pytest.raises(ParameterError, match=r"repeats=.* and gap_s="):
+                lng.benign_discontinuity_audio(audio, t, {"bitch"}, gap_s, repeats)
+        out = lng.benign_discontinuity_audio(audio, t, {"bitch"}, 0.0, 26)
+        assert out.frames == audio.frames + 25 * int(round(0.4 * RATE))
+
+    def test_growth_summed_over_sites(self):
+        audio, t = self._fixture()
+        # three sites of 0.4 + 0.3 + 0.4 s; 1.1 s per extra repeat
+        lng.benign_discontinuity_audio(audio, t, {"of", "a", "bitch"}, 0.0, 10)
+        with pytest.raises(ParameterError, match="3 sites"):
+            lng.benign_discontinuity_audio(audio, t, {"of", "a", "bitch"}, 0.0, 11)
+
+    def test_growth_bounded_by_the_frames_copied(self):
+        audio, _ = self._fixture()
+        # the span of "a" lasts 0.2 samples and rounds to one frame
+        t = T("a", "bitch", alignment=((0.4999999 / RATE, 0.5000001 / RATE), (0.6, 1.0)))
+        with pytest.raises(ParameterError, match="repeats="):
+            lng.benign_discontinuity_audio(audio, t, {"bitch"}, 0.0, 10**6)
+
+    def test_empty_stutter_adds_no_pieces(self):
+        audio, _ = self._fixture()
+        # a zero-length span with no gap adds no frames however often it
+        # repeats, and a gap after no site is never allocated
+        t = T("a", "bitch", alignment=((0.5, 0.5), (0.6, 1.0)))
+        calls = [({"bitch"}, 0.0, 10**6), ({"bitch"}, 0.0, 10**9), (set(), 1e9, 1)]
+        tracemalloc.start()
+        try:
+            # the peak is checked after each call, so a per-repeat piece
+            # list fails at 10**6 before 10**9 asks for 16 GB of it
+            for targets, gap_s, repeats in calls:
+                out = lng.benign_discontinuity_audio(audio, t, targets, gap_s, repeats)
+                assert np.array_equal(out.samples, audio.samples)
+                assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
 
 
 class TestFileFormats:

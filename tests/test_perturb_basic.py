@@ -1,6 +1,7 @@
 """Basic perturbations: contract examples plus property checks."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -240,6 +241,33 @@ class TestRepeatSegment:
     def test_invalid_rejected(self, tone_440, args):
         with pytest.raises(ParameterError):
             basic.repeat_segment(tone_440, *args)
+
+    def test_growth_bounded_before_allocating(self):
+        buf = sine(440.0, duration_s=0.1)
+        tracemalloc.start()
+        try:
+            # count=10**9 would build a list of 10**9 references, then 16 TB of
+            # audio; the small counts go first, so a missing bound fails on them
+            for count in (101, 10**5, 10**9):
+                with pytest.raises(ParameterError, match="count"):
+                    basic.repeat_segment(buf, 0.0, 0.1, count=count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        out = basic.repeat_segment(buf, 0.0, 0.1, count=100)
+        assert out.frames == buf.frames + int(basic.MAX_TAIL_S * RATE)
+
+    def test_growth_bounded_by_the_frames_copied(self):
+        # a 0.2-sample span rounds to one frame, so count * (end_s - start_s)
+        # reads 10**11 copies as 1.25 s; the smaller count fails first
+        buf = sine(440.0, duration_s=0.1)
+        start_s, end_s = 0.4999999 / RATE, 0.5000001 / RATE
+        for count in (int(basic.MAX_TAIL_S * RATE) + 1, 10**11):
+            with pytest.raises(ParameterError, match="count"):
+                basic.repeat_segment(buf, start_s, end_s, count=count)
+        out = basic.repeat_segment(buf, start_s, end_s, count=int(basic.MAX_TAIL_S * RATE))
+        assert out.frames == buf.frames + int(basic.MAX_TAIL_S * RATE)
 
 
 class TestGain:
