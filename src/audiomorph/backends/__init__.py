@@ -10,10 +10,10 @@ import inspect
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, List, Optional
 
 from ..audio import AudioBuffer
-from ..errors import ConfigError, read_params
+from ..errors import CASE_ERRORS, ConfigError, read_params
 
 
 class Category(str, enum.Enum):
@@ -64,6 +64,12 @@ class ModerationBackend:
     (unavailable / missing fixture / mapping). ``digest`` is
     ``content_digest(audio)``, computed once by the caller.
 
+    ``moderate_many`` answers a list of clips, one answer per clip in
+    order, None for a clip left unanswered; a campaign asks each backend
+    once per job this way. The default calls ``moderate`` per clip, so a
+    typed backend error leaves only that clip unanswered; a backend that
+    can answer many clips at once (the keyword spotter) overrides it.
+
     ``reads_audio`` is False for a backend that answers from the digest
     alone; a campaign may then pass None for the clip, and when no backend
     reads audio it generates its cases in worker processes at workers > 1."""
@@ -73,6 +79,15 @@ class ModerationBackend:
 
     def moderate(self, audio: AudioBuffer, digest: str) -> Verdict:
         raise NotImplementedError
+
+    def moderate_many(self, clips, digests) -> List[Optional[Verdict]]:
+        answers: List[Optional[Verdict]] = []
+        for clip, digest in zip(clips, digests):
+            try:
+                answers.append(self.moderate(clip, digest))
+            except CASE_ERRORS:
+                answers.append(None)
+        return answers
 
 
 def _constructors():

@@ -5,11 +5,14 @@ when some sliding window of its features is within a calibrated DTW
 distance of some template. Pure after load, so campaigns can drive it
 offline and deterministically.
 
-The sweep over (template, window) pairs is batched: ``_sweep`` makes one
+The sweep over (template, window) pairs is batched, across clips too:
+``_sweep_many`` concatenates the clips' feature rows and makes one
 ``dtw_distance`` call per group of equal-length templates, which
 computes each (clip frame, template frame) distance once, however many
 overlapping windows share that frame, and then fills the DP tables of many
-pairs at once, one anti-diagonal at a time. Two tie-break rules fix the
+pairs at once, one anti-diagonal at a time. ``moderate_many`` and
+``calibrate_threshold`` sweep all their clips so; each clip's answer has
+the same bits as its own sweep. Two tie-break rules fix the
 answer exactly: inside the DP, among minimum-cost alignments the shortest
 path wins; across pairs, the first in (template, start) order wins, so a
 later pair must be strictly closer to replace it.
@@ -29,7 +32,7 @@ import re
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from ..audio import AudioBuffer, read_wav
 from ..errors import ConfigError, DomainError, ParameterError
@@ -46,10 +49,10 @@ N_COEFFICIENTS = 13
 
 _LOG_FLOOR = 1e-30
 # dtw_distance's temporaries stay this small (unless one pair needs more),
-# however many windows a long clip has: the wavefront runs over blocks of at
-# most _BLOCK_CELLS DP cells (2 MB of complex steps), and frame distances
-# are formed from difference arrays of at most _DIFF_VALUES values (0.5 MB)
-# unless one frame against every template frame needs more
+# however many windows and clips a sweep has: the wavefront runs over blocks
+# of at most _BLOCK_CELLS DP cells (1 MB of gathered distances), and frame
+# distances are formed from difference arrays of at most _DIFF_VALUES
+# values (0.5 MB) unless one frame against every template frame needs more
 _BLOCK_CELLS = 1 << 17
 _DIFF_VALUES = 1 << 16
 
@@ -171,7 +174,8 @@ def dtw_distance(a, b, *, windows=None):
     result = np.empty(pairs)
     for start in range(0, pairs, block):
         stop = min(start + block, pairs)
-        result[start:stop] = _wavefront(table[which[start:stop], rows[start:stop]])
+        # (n, pairs, m): frame i of every pair's window against the template
+        result[start:stop] = _wavefront(table[which[start:stop].T, rows[start:stop].T])
     result = result.reshape(batch)
     return float(result) if not batch else result
 
@@ -235,36 +239,37 @@ def _schedule(n: int, m: int) -> Tuple[tuple, ...]:
     """For each anti-diagonal k = 3 .. n + m of the (n + 1) x (m + 1) DP
     table, whose cells i = lo..hi it computes: the indices into
     ``diagonals`` of their diagonal, up and left neighbours and of the
-    cells themselves, and the slice of ``steps`` rows they enter."""
-    # rows of steps are cells (i, j) in row-major order, so the cells of one
-    # anti-diagonal i + j are rows evenly spaced m - 1 apart
-    spacing = max(m - 1, 1)
+    cells themselves, and into ``steps`` of their local distances."""
     plan = []
     for k in range(3, n + m + 1):
         lo, hi = max(1, k - m), min(n, k - 1)
-        first = (lo - 1) * m + (k - lo - 1)  # row of cell (lo, k - lo)
         plan.append((
             ((k - 2) % 3, slice(lo - 1, hi)),
             ((k - 1) % 3, slice(lo - 1, hi)),
             ((k - 1) % 3, slice(lo, hi + 1)),
             (k % 3, slice(lo, hi + 1)),
-            slice(first, first + (hi - lo) * spacing + 1, spacing),
+            (k - 2, slice(lo - 1, hi)),
         ))
     return tuple(plan)
 
 
 def _wavefront(local: np.ndarray) -> np.ndarray:
-    """DTW of each pair from its ``(n, m)`` local distances, one
-    anti-diagonal at a time, vectorised over the pairs and over the cells
-    of each anti-diagonal."""
-    pairs, n, m = local.shape
+    """DTW of each pair from its local distances, ``local[i, p, j]`` for
+    frame i against frame j of pair p, one anti-diagonal at a time,
+    vectorised over the pairs and over the cells of each anti-diagonal."""
+    n, pairs, m = local.shape
+    # steps[d, i] is local[i, :, d - i], the distances entering the cells
+    # of anti-diagonal i + j = d: a strided view, not a copy, read only
+    # where d - i lies in [0, m), as the schedule's slices keep it
+    row, pair, column = local.strides
+    steps = as_strided(
+        local, shape=(n + m - 1, n, pairs), strides=(column, row - column, pair), writeable=False
+    )
     # numpy orders complex numbers lexicographically, so a cell held as
     # cost + 1j * path_length makes np.minimum pick the cheapest neighbour
     # and, at equal cost, the shorter path; entering a cell adds its local
-    # distance to the cost and 1 to the length
-    steps = np.empty((n * m, pairs), dtype=np.complex128)
-    steps.real = local.reshape(pairs, n * m).T
-    steps.imag = 1.0
+    # distance to the real part and 1 to the imaginary part, the complex
+    # addition of distance + 1j without building it
 
     # diagonals[k % 3, i] is cell (i, k - i) of the (n + 1) x (m + 1) table,
     # since a cell reads only anti-diagonals k - 1 and k - 2. Row 0 and
@@ -273,31 +278,21 @@ def _wavefront(local: np.ndarray) -> np.ndarray:
     # keep their first value. Cell (1, 1) opens every path: its own
     # distance, length 1.
     diagonals = np.full((3, n + 1, pairs), complex(math.inf, 0.0))
-    diagonals[2, 1] = steps[0]
+    diagonals[2, 1] = local[0, :, 0] + 1j
     for diagonal, up, left, cells, entered in _schedule(n, m):
         # neighbours of the cells: diagonal, up, then left
         best = diagonals[cells]
         np.minimum(diagonals[diagonal], diagonals[up], out=best)
         np.minimum(best, diagonals[left], out=best)
-        np.add(best, steps[entered], out=best)
+        np.add(best.real, steps[entered], out=best.real)
+        best.imag += 1.0
     end = diagonals[(n + m) % 3, n]
     return end.real / end.imag
 
 
-def _sweep(
-    audio: AudioBuffer,
-    templates: Sequence[Tuple[str, np.ndarray]],
-    window_s: float,
-    hop_s: float,
-) -> Tuple[float, Optional[str]]:
-    """Minimum windowed DTW distance over (template, window) pairs and the
-    tag of the winning template; the first pair in (template, start) order
-    wins a tie. The windows overlap, and each group of equal-length
-    templates shares one table of clip frame x template frame distances."""
-    if not templates:
-        raise ParameterError("need at least one template")
-    features = extract_mfcc(audio)
-    n = len(features)
+def _windows(audio: AudioBuffer, frames: int, window_s: float, hop_s: float) -> np.ndarray:
+    """Feature frame indices of the clip's sliding windows, one row per
+    start: every hop_s, plus a trailing window that reaches the clip end."""
     # a window_s-long clip must be exactly one window, so derive the frame
     # count from the extractor's own framing rather than window_s / hop
     frame_len = int(round(FRAME_S * audio.sample_rate))
@@ -305,23 +300,66 @@ def _sweep(
     window_samples = int(round(window_s * audio.sample_rate))
     window_frames = max(1, 1 + (window_samples - frame_len) // frame_hop)
     step = max(1, int(round(hop_s / FRAME_HOP_S)))
-    if window_frames > n:
+    if window_frames > frames:
         raise DomainError(
-            f"window of {window_frames} feature frames exceeds clip ({n} frames)"
+            f"window of {window_frames} feature frames exceeds clip ({frames} frames)"
         )
-    starts = list(range(0, n - window_frames + 1, step))
-    if starts[-1] != n - window_frames:
-        starts.append(n - window_frames)  # trailing window reaches the clip end
-    windows = np.add.outer(starts, np.arange(window_frames))
+    starts = list(range(0, frames - window_frames + 1, step))
+    if starts[-1] != frames - window_frames:
+        starts.append(frames - window_frames)
+    return np.add.outer(starts, np.arange(window_frames))
 
+
+def _sweep_many(
+    clips: Sequence[AudioBuffer], templates: Sequence[Tuple[str, np.ndarray]], window_s, hop_s
+) -> List[Tuple[float, Optional[str]]]:
+    """For each clip, the minimum windowed DTW distance over (template,
+    window) pairs and the tag of the winning template; the first pair in
+    (template, start) order wins a tie. The windows overlap, and each group
+    of equal-length templates shares one table of frame distances.
+
+    The clips are swept in one batch: their feature rows are concatenated,
+    each clip's windows offset by its first row, so one ``dtw_distance``
+    call per template length covers the pairs of every clip (clips at
+    different sample rates, whose windows differ in length, are swept one
+    by one). A clip whose features or windows fail raises as it would
+    alone, the first such clip first."""
+    if not templates:
+        raise ParameterError("need at least one template")
+    features, windows, first = [], [], 0
+    for clip in clips:
+        rows = extract_mfcc(clip)
+        windows.append(first + _windows(clip, len(rows), window_s, hop_s))
+        features.append(rows)
+        first += len(rows)
+    if len({w.shape[1] for w in windows}) != 1:  # sample rates differ
+        return [_sweep_many([clip], templates, window_s, hop_s)[0] for clip in clips]
+    batch, rows = np.concatenate(features), np.concatenate(windows)
     lengths = [len(template) for _, template in templates]
-    distances = np.empty((len(templates), len(starts)))
+    distances = np.empty((len(templates), len(rows)))
     for frames in set(lengths):
         group = [i for i, length in enumerate(lengths) if length == frames]
         stacked = np.stack([templates[i][1] for i in group])[:, np.newaxis]
-        distances[group] = dtw_distance(features, stacked, windows=windows)
-    best = np.argmin(distances)  # first minimum in (template, start) order
-    return float(distances.flat[best]), templates[best // len(starts)][0]
+        distances[group] = dtw_distance(batch, stacked, windows=rows)
+    results, lo = [], 0
+    for starts in map(len, windows):
+        part = distances[:, lo : lo + starts]
+        best = np.argmin(part)  # first minimum in (template, start) order
+        results.append((float(part.flat[best]), templates[best // starts][0]))
+        lo += starts
+    return results
+
+
+def _sweep(audio: AudioBuffer, templates, window_s: float, hop_s: float):
+    """``_sweep_many`` of one clip: its minimum distance and winning tag."""
+    return _sweep_many([audio], templates, window_s, hop_s)[0]
+
+
+def _verdict(distance: float, tag: Optional[str], threshold: float) -> Verdict:
+    confidence = max(0.0, min(1.0, 1.0 - distance / threshold))
+    if distance < threshold:
+        return Verdict(Category.parse(tag), confidence)
+    return Verdict(Category.NON_TOXIC, confidence)
 
 
 def spot_keywords(
@@ -337,11 +375,7 @@ def spot_keywords(
     clamped to [0, 1]."""
     if threshold <= 0:
         raise ParameterError(f"threshold must be positive, got {threshold}")
-    best_distance, best_tag = _sweep(audio, templates, window_s, hop_s)
-    confidence = max(0.0, min(1.0, 1.0 - best_distance / threshold))
-    if best_distance < threshold:
-        return Verdict(Category.parse(best_tag), confidence)
-    return Verdict(Category.NON_TOXIC, confidence)
+    return _verdict(*_sweep(audio, templates, window_s, hop_s), threshold)
 
 
 _TEMPLATE_NAME = re.compile(r"^(?P<tag>[a-z_]+)__(?P<word>.+)\.wav$")
@@ -404,6 +438,11 @@ class KeywordSpotterBackend(ModerationBackend):
             audio, self._templates, self._window_s, self._hop_s, self._threshold
         )
 
+    def moderate_many(self, clips, digests) -> List[Verdict]:
+        """The verdicts of ``moderate``, from one sweep over every clip."""
+        sweeps = _sweep_many(clips, self._templates, self._window_s, self._hop_s)
+        return [_verdict(distance, tag, self._threshold) for distance, tag in sweeps]
+
 
 def min_template_distance(
     audio: AudioBuffer,
@@ -426,10 +465,8 @@ def calibrate_threshold(
     the lowest one maximizing accuracy. Returns (threshold, accuracy)."""
     if not labeled_clips:
         raise DomainError("calibration needs at least one labeled clip")
-    distances = [
-        (min_template_distance(clip, templates, window_s, hop_s), bool(toxic))
-        for clip, toxic in labeled_clips
-    ]
+    sweeps = _sweep_many([clip for clip, _ in labeled_clips], templates, window_s, hop_s)
+    distances = [(d, bool(toxic)) for (d, _), (_, toxic) in zip(sweeps, labeled_clips)]
     values = sorted({d for d, _ in distances})
     candidates = [values[0] / 2.0]
     candidates += [(a + b) / 2.0 for a, b in zip(values, values[1:])]

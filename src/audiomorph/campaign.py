@@ -6,20 +6,22 @@ every configured relation to every retained seed, sends the perturbed clips
 to every backend, and counts how often a backend that should still flag the
 clip answers non_toxic instead. ``run_campaign`` runs five stages: load
 (``_load_seeds``), probe (``filter_seeds``, the seed filter), generate+query
-(``_run_cases``: one job per case perturbs, digests and writes its artifact,
+(``_run_cases``: one job per seed perturbs, digests and writes its cases,
 so perturbed clips never pile up), tally (``_tally``) and emit (``_emit``:
 manifest, report.json, report.csv). Every query goes through one
-``VerdictStore``, which asks each backend about each digest once. Artifacts
+``VerdictStore``, which asks each backend about each digest once, and about
+each job's new digests in one ``moderate_many`` call. Artifacts
 are content-addressed 16-bit WAVs next to a JSON manifest, so a finished
 campaign can be replayed offline against fixture backends and must reproduce
 its report byte for byte.
 
-A case job runs in a pool thread, which also asks the backends about its
-clip. When no backend reads the clip (``reads_audio``), as in every replay,
-and there are several workers, the jobs run in forked worker processes
-instead (on Linux), which return only the case, and the campaign asks about each
-digest in job order: perturbation holds the GIL, and a clip sent back
-across the process boundary would cost more than the extra process saves.
+A seed's job runs in a pool thread, which holds the seed's clips until the
+backends have answered. When no backend reads the clip (``reads_audio``),
+as in every replay, and there are several workers, one job per case runs in
+forked worker processes instead (on Linux), which return only the case, and
+the campaign asks about each digest in job order: perturbation holds the
+GIL, and a clip sent back across the process boundary would cost more than
+the extra process saves.
 """
 
 from __future__ import annotations
@@ -42,13 +44,10 @@ from .audio import AudioBuffer, content_digest, read_wav, write_wav
 from .backends import Category, ModerationBackend, Verdict, build_backend
 from .backends.fixture import FixtureBackend, verdicts_from_json, verdicts_to_json
 from .errors import (
-    BackendUnavailableError,
     CampaignError,
     ConfigError,
     DomainError,
-    MissingFixtureError,
     ParameterError,
-    ResponseMappingError,
     read_json_object,
     reject_unknown_keys,
     write_json,
@@ -58,8 +57,10 @@ from .perturb import Perturbation
 # perfbench/tracing.py looks it up by name in this module
 from .perturb.linguistic import Transcript, benign_discontinuity_audio, load_transcript
 
-# failures of these kinds mark a single case unanswered; anything else is a bug
-_CASE_ERRORS = (BackendUnavailableError, MissingFixtureError, ResponseMappingError)
+# a seed job asks the backends about the clips it holds once they pass this
+# size, so a worker holds a bounded amount of audio however long the seeds
+# are; a 1 s seed's clips (128 KB each at 16 kHz) go in one batch
+_JOB_AUDIO_BYTES = 1 << 20
 
 # the worker pool size when a config, a replay or the probe names none
 DEFAULT_WORKERS = 4
@@ -288,28 +289,39 @@ class VerdictStore:
         self._lock = threading.Lock()
         self._answers: Dict[Tuple[str, str], Future] = {}
 
-    def ask_all(self, audio: Optional[AudioBuffer], digest: str) -> Tuple[Optional[Verdict], ...]:
-        """One verdict per backend, in backend order; ``audio`` is None only
-        when no backend reads it."""
-        return tuple(self._ask(backend, audio, digest) for backend in self.backends)
+    def ask_many(
+        self, clips: Sequence[Optional[AudioBuffer]], digests: Sequence[str]
+    ) -> List[Tuple[Optional[Verdict], ...]]:
+        """One verdict per backend, in backend order, for each clip; a clip
+        is None only when no backend reads it. Each backend is asked once,
+        through ``moderate_many``, about the digests no job has claimed yet;
+        the answers to the others are awaited."""
+        columns = [self._ask(backend, clips, digests) for backend in self.backends]
+        return list(zip(*columns))
 
-    def _ask(
-        self, backend: ModerationBackend, audio: Optional[AudioBuffer], digest: str
-    ) -> Optional[Verdict]:
-        key = (backend.name, digest)
+    def _ask(self, backend: ModerationBackend, clips, digests) -> List[Optional[Verdict]]:
+        claimed: Dict[str, tuple] = {}  # digest -> (its Future, clip)
         with self._lock:
-            answer = self._answers.get(key)
-            first = answer is None
-            if first:
-                answer = self._answers[key] = Future()
-        if first:
+            for clip, digest in zip(clips, digests):
+                if (backend.name, digest) not in self._answers:
+                    future = self._answers[backend.name, digest] = Future()
+                    claimed[digest] = future, clip
+            answers = [self._answers[backend.name, digest] for digest in digests]
+        if claimed:
+            futures, pending = zip(*claimed.values())
             try:
-                answer.set_result(backend.moderate(audio, digest))
-            except _CASE_ERRORS:
-                answer.set_result(None)
+                verdicts = backend.moderate_many(pending, list(claimed))
+                if len(verdicts) != len(futures):
+                    raise CampaignError(
+                        f"backend {backend.name!r} answered {len(verdicts)} of {len(futures)} clips"
+                    )
             except BaseException as exc:
-                answer.set_exception(exc)
-        return answer.result()
+                for future in futures:
+                    future.set_exception(exc)
+            else:
+                for future, verdict in zip(futures, verdicts):
+                    future.set_result(verdict)
+        return [answer.result() for answer in answers]
 
     def as_json(self) -> Dict[str, Dict[str, Optional[dict]]]:
         tables: Dict[str, Dict[str, Optional[Verdict]]] = {b.name: {} for b in self.backends}
@@ -335,6 +347,12 @@ def _load_seeds(config: CampaignConfig) -> List[LoadedSeed]:
     return seeds
 
 
+def _split(items: Sequence, parts: int) -> list:
+    """``items`` in at most ``parts`` contiguous runs of near-equal length."""
+    bounds = [len(items) * k // parts for k in range(parts + 1)]
+    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+
+
 def filter_seeds(
     seeds: Sequence[LoadedSeed], verdicts: VerdictStore, workers: int = DEFAULT_WORKERS
 ) -> Tuple[List[LoadedSeed], Dict]:
@@ -348,7 +366,9 @@ def filter_seeds(
     if not verdicts.backends:
         raise CampaignError("no backends configured")
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        answers = list(pool.map(lambda s: verdicts.ask_all(s.audio, s.digest), seeds))
+        groups = _split(seeds, workers)
+        rows = pool.map(lambda g: verdicts.ask_many([s.audio for s in g], [s.digest for s in g]), groups)
+        answers = [row for group in rows for row in group]
 
     names = [b.name for b in verdicts.backends]
     per_backend = {
@@ -426,29 +446,31 @@ def _generate_in_worker(job: Tuple[int, Perturbation]) -> TestCase:
 def _run_cases(
     seeds: Sequence[LoadedSeed], verdicts: VerdictStore, config: CampaignConfig
 ) -> List[Outcome]:
-    """Stage 3, generate and query: each job perturbs one seed with one
-    relation, digests the clip and writes its artifact, so a perturbed clip
-    lives only as long as its job. Results keep job order (seed-major),
-    which keeps the tally deterministic.
+    """Stage 3, generate and query. A pool thread runs one job per seed: it
+    perturbs the seed with each relation, digests and writes each clip,
+    then asks each backend once about the job's clips. So a job holds one
+    seed's clips, only until every backend that reads audio has answered,
+    and at most about ``_JOB_AUDIO_BYTES`` of them: past that it asks about
+    those it holds before it makes the next. With fewer seeds than workers,
+    each seed's relations are split over ceil(workers / seeds) jobs, so
+    that ``workers`` jobs (an HTTP backend's requests in flight) still run
+    at once. Results keep job order (seed-major), which keeps the tally
+    deterministic.
 
-    A pool thread runs each job and asks every backend about its clip. When
-    no backend reads the clip and workers > 1, forked worker processes run
-    the jobs and return their cases, and the backends are asked here, in
-    job order. Fork needs the probe's threads to be joined, as they are,
-    and no native library to run threads of its own: that holds on Linux,
-    while on macOS system libraries such as Accelerate (which numpy may
-    link) can, so elsewhere the jobs stay on threads."""
-    jobs = [(i, mr) for i in range(len(seeds)) for mr in config.mrs]
-    if (
-        config.workers > 1
-        and sys.platform.startswith("linux")
-        and not any(b.reads_audio for b in verdicts.backends)
-    ):
+    When no backend reads the clip and workers > 1, forked worker processes
+    run one job per case instead and return its case, and the backends are
+    asked here, in job order. Fork needs the probe's threads to be joined,
+    as they are, and no native library to run threads of its own: that
+    holds on Linux, while on macOS system libraries such as Accelerate
+    (which numpy may link) can, so elsewhere the jobs stay on threads."""
+    reads_audio = any(b.reads_audio for b in verdicts.backends)
+    if config.workers > 1 and sys.platform.startswith("linux") and not reads_audio:
         # imported here: the pool's modules would add about 1 MB to the
         # resident memory of every campaign, also those on threads
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
+        jobs = [(i, mr) for i in range(len(seeds)) for mr in config.mrs]
         with ProcessPoolExecutor(
             config.workers,
             mp_context=multiprocessing.get_context("fork"),
@@ -457,14 +479,26 @@ def _run_cases(
         ) as pool:
             chunksize = max(1, len(jobs) // (4 * config.workers))
             cases = list(pool.map(_generate_in_worker, jobs, chunksize=chunksize))
-        return [(case, verdicts.ask_all(None, case.digest)) for case in cases]
+        return list(zip(cases, verdicts.ask_many([None] * len(cases), [c.digest for c in cases])))
 
-    def run_case(job: Tuple[int, Perturbation]) -> Outcome:
-        case, perturbed = _generate(seeds[job[0]], job[1], config.output_dir)
-        return case, verdicts.ask_all(perturbed, case.digest)
+    def run_job(job: Tuple[int, Sequence[Perturbation]]) -> List[Outcome]:
+        outcomes: List[Outcome] = []
+        cases, clips = [], []
+        for k, mr in enumerate(job[1]):
+            case, perturbed = _generate(seeds[job[0]], mr, config.output_dir)
+            cases.append(case)
+            clips.append(perturbed if reads_audio else None)
+            del perturbed  # an unread clip is freed before the next is made
+            held = sum(clip.samples.nbytes for clip in clips if clip is not None)
+            if k == len(job[1]) - 1 or held > _JOB_AUDIO_BYTES:
+                outcomes += zip(cases, verdicts.ask_many(clips, [c.digest for c in cases]))
+                cases, clips = [], []
+        return outcomes
 
+    parts = -(-config.workers // max(1, len(seeds)))
+    jobs = [(i, mrs) for i in range(len(seeds)) for mrs in _split(config.mrs, parts)]
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(run_case, jobs))
+        return [outcome for outcomes in pool.map(run_job, jobs) for outcome in outcomes]
 
 
 def _tally(outcomes: Sequence[Outcome], backend_names: Sequence[str]) -> Tuple[Cell, ...]:

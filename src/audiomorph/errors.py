@@ -115,6 +115,10 @@ class ResponseMappingError(AudiomorphError):
     """Raised when a provider response cannot be mapped onto a verdict."""
 
 
+# a backend failure of these kinds leaves one clip unanswered; any other is a bug
+CASE_ERRORS = (BackendUnavailableError, MissingFixtureError, ResponseMappingError)
+
+
 class CampaignError(AudiomorphError):
     """Raised when a campaign cannot proceed at all (every backend down,
     artifact directory unwritable)."""

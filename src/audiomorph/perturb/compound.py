@@ -163,12 +163,7 @@ def _one_pole_lowpass(samples: np.ndarray, cutoff_hz: float, rate: int) -> np.nd
     for row, dst in zip(samples, out):
         state = 0.0
         for block in _blocks(row.shape[0]):
-            filtered = []
-            append = filtered.append
-            for v in row[block].tolist():
-                state += beta * (v - state)
-                append(state)
-            dst[block] = filtered
+            dst[block] = [state := state + beta * (v - state) for v in row[block].tolist()]
     return out
 
 

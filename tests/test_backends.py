@@ -663,6 +663,93 @@ class TestSpotKeywords:
         assert verdict.category is Category.PORN
 
 
+@pytest.fixture(scope="module")
+def two_length_spotter(tmp_path_factory):
+    """A spotter over a 0.4 s and a 0.3 s template (38 and 28 frames)."""
+    from audiomorph.audio import write_wav
+
+    directory = tmp_path_factory.mktemp("templates")
+    write_wav(sine(500.0, duration_s=0.4), directory / "insult__low.wav")
+    write_wav(sine(1200.0, duration_s=0.3), directory / "spam__high.wav")
+    return spotter.KeywordSpotterBackend(directory, threshold=12.0)
+
+
+def _noisy_sine(freq, duration_s, seed):
+    tone = sine(freq, duration_s=duration_s, amplitude=0.4).samples
+    noise = np.random.default_rng(seed).normal(0.0, 0.05, tone.shape)
+    return AudioBuffer(tone + noise, RATE)
+
+
+class TestModerateMany:
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.4, 0.45, 0.6, 0.73]),
+                st.sampled_from([500.0, 800.0, 1200.0, 3000.0]),
+                st.integers(0, 2**16),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from([1, 40, spotter._BLOCK_CELLS]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_batch_equals_clip_by_clip(self, two_length_spotter, specs, block_cells):
+        # clips of mixed lengths share one sweep; small blocks split its
+        # wavefront across clip boundaries
+        backend = two_length_spotter
+        clips = [_noisy_sine(freq, duration_s, seed) for duration_s, freq, seed in specs]
+        digests = [content_digest(clip) for clip in clips]
+        with mock.patch.object(spotter, "_BLOCK_CELLS", block_cells):
+            batched = backend.moderate_many(clips, digests)
+            sweeps = spotter._sweep_many(clips, backend._templates, 0.4, 0.1)
+        alone = [backend.moderate(clip, digest) for clip, digest in zip(clips, digests)]
+        assert [(v.category, v.confidence) for v in batched] == [
+            (v.category, v.confidence) for v in alone
+        ]
+        for clip, sweep in zip(clips, sweeps):
+            features = spotter.extract_mfcc(clip)
+            # 38-frame windows every 10 frames, plus one reaching the end
+            starts = list(range(0, len(features) - 37, 10))
+            if starts[-1] != len(features) - 38:
+                starts.append(len(features) - 38)
+            assert sweep == loop_sweep(features, backend._templates, 38, starts)
+
+    @pytest.mark.parametrize(
+        "short",
+        [sine(500.0, duration_s=0.2), sine(500.0, duration_s=0.01)],
+        ids=["shorter than a window", "shorter than a frame"],
+    )
+    def test_short_clip_in_a_batch_raises_as_alone(self, two_length_spotter, short):
+        clip = _noisy_sine(500.0, 0.6, 0)
+        with pytest.raises(DomainError) as alone:
+            two_length_spotter.moderate(short, "")
+        with pytest.raises(DomainError) as batched:
+            two_length_spotter.moderate_many([clip, short, clip], ["", "", ""])
+        assert (type(batched.value), str(batched.value)) == (type(alone.value), str(alone.value))
+
+    def test_clips_whose_windows_differ_in_length_swept_alone(self):
+        # 5 s windows are 498 frames at 16 kHz and 499 at 22.05 kHz (a
+        # 220-sample hop): such clips cannot share one dtw_distance call
+        template = [("insult", spotter.extract_mfcc(sine(500.0, duration_s=5.0)))]
+        clips = [sine(500.0, duration_s=5.2), sine(520.0, duration_s=5.2, rate=22050)]
+        frames = [len(spotter.extract_mfcc(clip)) for clip in clips]
+        lengths = {spotter._windows(c, n, 5.0, 1.0).shape[1] for c, n in zip(clips, frames)}
+        assert lengths == {498, 499}
+        alone = [spotter._sweep(clip, template, 5.0, 1.0) for clip in clips]
+        assert spotter._sweep_many(clips, template, 5.0, 1.0) == alone
+
+    def test_default_leaves_only_the_failing_clip_unanswered(self, tone_440):
+        class Picky(ModerationBackend):
+            def moderate(self, audio, digest):
+                if digest == "bad":
+                    raise BackendUnavailableError("down")
+                return Verdict(Category.SPAM, 0.5)
+
+        answers = Picky().moderate_many([tone_440] * 3, ["a", "bad", "c"])
+        assert answers == [Verdict(Category.SPAM, 0.5), None, Verdict(Category.SPAM, 0.5)]
+
+
 class TestTemplatesAndCalibration:
     def test_load_templates_parses_names(self, tmp_path):
         from audiomorph.audio import write_wav

@@ -6,7 +6,10 @@ import json
 import math
 import multiprocessing
 import shutil
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -650,6 +653,140 @@ class TestQueryOnce:
                 fixture.moderate(louder, content_digest(louder))
 
 
+class BatchRecorder(ScriptedBackend):
+    """A scripted backend that records the digests of each moderate_many call."""
+
+    def __init__(self, name, script=None, failing=()):
+        super().__init__(name, script, failing)
+        self.batches = []
+
+    def moderate_many(self, clips, digests):
+        self.batches.append(list(digests))
+        return super().moderate_many(clips, digests)
+
+
+class TestSeedJobs:
+    """Stage 3 runs one job per seed and asks each backend once per job."""
+
+    def _one_seed(self, tmp_path, mrs, workers):
+        spec, buf = _make_seed(tmp_path, "s", 300.0, "insult")
+        config = CampaignConfig(
+            seeds=(spec,),
+            mrs=tuple(Perturbation.from_dict(m) for m in mrs),
+            backend_configs=(),
+            output_dir=tmp_path / "out",
+            workers=workers,
+        )
+        return config, buf
+
+    def test_split_seed_keeps_every_worker_in_flight(self, tmp_path):
+        # one seed, four relations, four workers: the seed's relations are
+        # split over four jobs, so four queries wait on the barrier at once
+        mrs = [{"kind": "gain", "params": {"db": db}} for db in (-6.0, -3.0, 3.0, 6.0)]
+        config, buf = self._one_seed(tmp_path, mrs, workers=4)
+        seed_digest = content_digest(buf)
+        barrier = threading.Barrier(4, timeout=10.0)
+
+        class Overlapping(ScriptedBackend):
+            def moderate(self, audio, digest):
+                assert isinstance(audio, AudioBuffer)
+                if digest != seed_digest:
+                    barrier.wait()  # BrokenBarrierError unless 4 calls overlap
+                return super().moderate(audio, digest)
+
+        backend = Overlapping("b", {seed_digest: Category.INSULT})
+        report = run_campaign(config, backends=[backend])
+        assert sum(cell.generated for cell in report.cells) == 4
+        assert backend.calls == 5
+
+    def test_duplicates_in_a_batch_asked_once(self, tmp_path):
+        # gain 0 dB gives the seed's digest, answered by the probe; the two
+        # louder relations differ in float but quantize to one digest
+        mrs = [
+            {"kind": "gain", "params": {"db": 0.0}},
+            {"kind": "gain", "params": {"db": 6.0}},
+            {"kind": "gain", "params": {"db": 6.0000000001}},
+        ]
+        config, buf = self._one_seed(tmp_path, mrs, workers=1)
+        louder = content_digest(Perturbation.from_dict(mrs[1]).apply(buf))
+        assert content_digest(Perturbation.from_dict(mrs[2]).apply(buf)) == louder
+        backend = BatchRecorder("b", {content_digest(buf): Category.INSULT})
+        report = run_campaign(config, backends=[backend])
+        assert sum(cell.generated for cell in report.cells) == 3
+        assert backend.batches == [[content_digest(buf)], [louder]]
+        assert backend.queried == [content_digest(buf), louder]
+
+    def test_failure_leaves_only_its_case_unanswered(self, tmp_path):
+        mrs = [{"kind": "gain", "params": {"db": db}} for db in (-6.0, 3.0, 6.0)]
+        config, buf = self._one_seed(tmp_path, mrs, workers=1)
+        louder = content_digest(Perturbation.from_dict(mrs[1]).apply(buf))
+        backend = BatchRecorder("b", {content_digest(buf): Category.INSULT}, failing={louder})
+        report = run_campaign(config, backends=[backend])
+        assert len(backend.batches[1]) == 3  # the seed's cases in one batch
+        unanswered = {cell.mr: cell.unanswered for cell in report.cells}
+        assert unanswered == {"gain(db=-6.0)": 0, "gain(db=3.0)": 1, "gain(db=6.0)": 0}
+        recorded = json.loads(report.manifest.read_text())["verdicts"]["b"]
+        assert recorded[louder] is None
+        assert sum(v is None for v in recorded.values()) == 1
+
+    def test_job_holds_a_bounded_amount_of_audio(self, tmp_path, monkeypatch):
+        # 0.5 s clips are 64 kB: past 100 kB held, the job asks about them
+        monkeypatch.setattr(campaign, "_JOB_AUDIO_BYTES", 100_000)
+        mrs = [{"kind": "gain", "params": {"db": db}} for db in (-6.0, -3.0, 3.0, 6.0)]
+        config, buf = self._one_seed(tmp_path, mrs, workers=1)
+        backend = BatchRecorder("b", {content_digest(buf): Category.INSULT})
+        report = run_campaign(config, backends=[backend])
+        assert [len(batch) for batch in backend.batches] == [1, 2, 2]
+        assert sum(cell.generated for cell in report.cells) == 4
+
+    def test_fixture_only_campaign_holds_no_clip(self, tmp_path):
+        config, specs, buffers = _campaign_fixture(tmp_path, n_seeds=2)
+        table = {content_digest(buffers[s.seed_id]): Verdict(s.category) for s in specs}
+        batches = []
+
+        class SeenFixture(FixtureBackend):
+            def moderate_many(self, clips, digests):
+                batches.append(list(clips))
+                return super().moderate_many(clips, digests)
+
+        run_campaign(dataclasses.replace(config, workers=1), backends=[SeenFixture(table, name="f")])
+        probe, *jobs = batches
+        assert len(probe) == 2 and all(isinstance(clip, AudioBuffer) for clip in probe)
+        assert len(jobs) == 2 and all(clip is None for batch in jobs for clip in batch)
+
+    def test_overlapping_batches_ask_each_digest_once(self):
+        # eight threads claim overlapping batches with frequent switches: a
+        # lost claim would ask a digest twice or leave a thread waiting
+        digests = [f"d{i}" for i in range(30)]
+        backend = BatchRecorder("b", {d: Category.SPAM for d in digests[::3]})
+        store = VerdictStore([backend])
+        rng = np.random.default_rng(5)
+        batches = [list(rng.choice(digests, size=8)) for _ in range(64)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(store.ask_many, [None] * len(b), b) for b in batches]
+                rows = [future.result(timeout=30) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(backend.queried) == sorted(set(backend.queried))
+        assert set(backend.queried) == {d for b in batches for d in b}
+        for batch, answers in zip(batches, rows):
+            expected = [Category.SPAM if d in digests[::3] else Category.NON_TOXIC for d in batch]
+            assert [row[0].category for row in answers] == expected
+
+    def test_wrong_answer_count_is_an_error(self, tmp_path):
+        config, buf = self._one_seed(tmp_path, [{"kind": "gain", "params": {"db": 6.0}}], 1)
+
+        class Short(ScriptedBackend):
+            def moderate_many(self, clips, digests):
+                return super().moderate_many(clips, digests)[1:]
+
+        with pytest.raises(CampaignError, match="answered 0 of 1 clips"):
+            run_campaign(config, backends=[Short("b")])
+
+
 def _outputs(report):
     """What a campaign leaves behind: its report bytes, manifest cases and
     artifact files by name and bytes."""
@@ -745,20 +882,24 @@ class TestProcessPath:
             assert all(isinstance(a, AudioBuffer) for a in seen[: len(specs)])
 
     def test_threads_kept_off_linux(self, tmp_path, monkeypatch):
-        # fork is unsafe where native libraries may run threads (macOS)
+        # fork is unsafe where native libraries may run threads (macOS); a
+        # case generated in this process is one generated on a pool thread
         config, specs, buffers = _campaign_fixture(tmp_path, n_seeds=2)
         table = {content_digest(buffers[s.seed_id]): Verdict(s.category) for s in specs}
-        seen = []
+        generated = []
+        generate = campaign._generate
 
-        class SeenFixture(FixtureBackend):
-            def moderate(self, audio, digest):
-                seen.append(audio)
-                return super().moderate(audio, digest)
+        def counted(*args):
+            generated.append(args[1])
+            return generate(*args)
 
+        monkeypatch.setattr(campaign, "_generate", counted)
+        monkeypatch.setattr(campaign.sys, "platform", "linux")
+        run_campaign(config, backends=[FixtureBackend(table, name="f")])  # workers == 3
+        assert generated == []  # on Linux the worker processes generate them
         monkeypatch.setattr(campaign.sys, "platform", "darwin")
-        run_campaign(config, backends=[SeenFixture(table, name="f")])  # workers == 3
-        assert len(seen) > len(specs)
-        assert all(isinstance(a, AudioBuffer) for a in seen)
+        run_campaign(config, backends=[FixtureBackend(table, name="f")])
+        assert len(generated) == len(specs) * len(config.mrs)
 
 
 class TestExportRetrainingSet:
