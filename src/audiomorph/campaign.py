@@ -21,7 +21,12 @@ as in every replay, and there are several workers, one job per case runs in
 forked worker processes instead (on Linux), which return only the case, and
 the campaign asks about each digest in job order: perturbation holds the
 GIL, and a clip sent back across the process boundary would cost more than
-the extra process saves.
+the extra process saves. The pool has at most one worker per job. Each
+worker keeps the heap its jobs free (glibc's ``mallopt``; a no-op with
+another C library), where trimming it would make the next job fault the
+same pages in again. The workers exit with the pool, so that heap does
+not outlive the campaign; the campaign's own process is the caller's and
+keeps its heap settings. A worker that dies is a CampaignError.
 """
 
 from __future__ import annotations
@@ -432,10 +437,28 @@ def _generate(
 # fork hands them over without pickling the seed audio
 _worker_inputs: Tuple[Sequence[LoadedSeed], Path] = ((), Path())
 
+# glibc's mallopt(3) parameters and the values a worker sets for its
+# lifetime: never trim the heap's freed top, and take blocks below 32 MiB
+# (glibc's largest mmap threshold on 64-bit) from the heap, whatever
+# threshold the worker inherits
+_M_TRIM_THRESHOLD, _NEVER_TRIM = -1, -1
+_M_MMAP_THRESHOLD, _HEAP_BELOW_BYTES = -3, 32 << 20
+
 
 def _init_worker(seeds: Sequence[LoadedSeed], output_dir: Path) -> None:
+    """Set a forked worker's inputs and stop glibc trimming its heap; the
+    latter is a no-op where the C library has no ``mallopt``."""
+    import ctypes  # only a worker needs it
+
     global _worker_inputs
     _worker_inputs = (seeds, output_dir)
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except OSError:
+        mallopt = None
+    if mallopt is not None:
+        mallopt(_M_TRIM_THRESHOLD, _NEVER_TRIM)
+        mallopt(_M_MMAP_THRESHOLD, _HEAP_BELOW_BYTES)
 
 
 def _generate_in_worker(job: Tuple[int, Perturbation]) -> TestCase:
@@ -459,26 +482,37 @@ def _run_cases(
 
     When no backend reads the clip and workers > 1, forked worker processes
     run one job per case instead and return its case, and the backends are
-    asked here, in job order. Fork needs the probe's threads to be joined,
-    as they are, and no native library to run threads of its own: that
-    holds on Linux, while on macOS system libraries such as Accelerate
+    asked here, in job order. The pool starts at most one worker per job,
+    since fork starts them all up front, and each worker keeps the heap its
+    jobs free (``_init_worker``). A worker that dies (the out-of-memory
+    killer) is a CampaignError. Fork needs the probe's threads to be
+    joined, as they are, and no native library to run threads of its own:
+    that holds on Linux, while on macOS system libraries such as Accelerate
     (which numpy may link) can, so elsewhere the jobs stay on threads."""
     reads_audio = any(b.reads_audio for b in verdicts.backends)
-    if config.workers > 1 and sys.platform.startswith("linux") and not reads_audio:
+    if config.workers > 1 and seeds and sys.platform.startswith("linux") and not reads_audio:
         # imported here: the pool's modules would add about 1 MB to the
         # resident memory of every campaign, also those on threads
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         jobs = [(i, mr) for i in range(len(seeds)) for mr in config.mrs]
-        with ProcessPoolExecutor(
-            config.workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_worker,
-            initargs=(seeds, config.output_dir),
-        ) as pool:
-            chunksize = max(1, len(jobs) // (4 * config.workers))
-            cases = list(pool.map(_generate_in_worker, jobs, chunksize=chunksize))
+        workers = min(config.workers, len(jobs))
+        try:
+            with ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_worker,
+                initargs=(seeds, config.output_dir),
+            ) as pool:
+                chunksize = max(1, len(jobs) // (4 * workers))
+                cases = list(pool.map(_generate_in_worker, jobs, chunksize=chunksize))
+        except BrokenProcessPool as exc:
+            raise CampaignError(
+                f"a worker process died while generating cases (killed, for example "
+                f"by the out-of-memory killer): {exc}"
+            ) from exc
         return list(zip(cases, verdicts.ask_many([None] * len(cases), [c.digest for c in cases])))
 
     def run_job(job: Tuple[int, Sequence[Perturbation]]) -> List[Outcome]:

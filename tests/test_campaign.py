@@ -1,10 +1,13 @@
 """Campaign engine: EFR arithmetic, seed filtering, report accounting,
 replay determinism, and the retraining export."""
 
+import concurrent.futures
+import ctypes
 import dataclasses
 import json
 import math
 import multiprocessing
+import os
 import shutil
 import sys
 import threading
@@ -799,6 +802,10 @@ def _outputs(report):
     )
 
 
+def _unloadable_libc(name):
+    raise OSError("cannot load the C library")
+
+
 class TestProcessPath:
     """A replay at workers > 1 generates its cases in forked worker
     processes, since its fixture backends answer from the digest alone; it
@@ -900,6 +907,71 @@ class TestProcessPath:
         monkeypatch.setattr(campaign.sys, "platform", "darwin")
         run_campaign(config, backends=[FixtureBackend(table, name="f")])
         assert len(generated) == len(specs) * len(config.mrs)
+
+    def _recorded(self, root, n_seeds, n_mrs):
+        """A campaign recorded at workers=1 over n_seeds seeds and the first
+        n_mrs relations of ``_campaign_fixture``; returns its manifest path."""
+        root.mkdir()
+        config, specs, buffers = _campaign_fixture(root, n_seeds=n_seeds)
+        config = dataclasses.replace(config, mrs=config.mrs[:n_mrs], workers=1)
+        script = {content_digest(buffers[s.seed_id]): s.category for s in specs}
+        return run_campaign(config, backends=[ScriptedBackend("b", script)]).manifest
+
+    @pytest.mark.parametrize("n_seeds, n_mrs, pool", [(1, 1, 1), (1, 2, 2), (2, 2, 3)])
+    def test_pool_capped_at_its_jobs(self, tmp_path, monkeypatch, n_seeds, n_mrs, pool):
+        # fork starts every worker up front, so a one-case replay starts one
+        manifest = self._recorded(tmp_path / "tree", n_seeds, n_mrs)
+        sizes = []
+
+        class Recorded(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        replay_campaign(manifest, tmp_path / "w3", workers=3)
+        assert sizes == [pool]
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_is_a_campaign_error(self, tmp_path, monkeypatch):
+        manifest = self._recorded(tmp_path / "tree", 2, 2)
+        parent, generate = os.getpid(), campaign._generate
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(3)  # as the out-of-memory killer would end it
+            return generate(*args)
+
+        monkeypatch.setattr(campaign, "_generate", dying)
+        with pytest.raises(CampaignError, match="a worker process died"):
+            replay_campaign(manifest, tmp_path / "w2", workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_keeps_its_freed_heap(self, monkeypatch):
+        calls = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(campaign, "_worker_inputs", campaign._worker_inputs)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+        campaign._init_worker(("seed",), Path("out"))
+        assert campaign._worker_inputs == (("seed",), Path("out"))
+        assert calls == [
+            (campaign._M_TRIM_THRESHOLD, campaign._NEVER_TRIM),
+            (campaign._M_MMAP_THRESHOLD, campaign._HEAP_BELOW_BYTES),
+        ]
+        # glibc's malloc.h numbers
+        assert (campaign._M_TRIM_THRESHOLD, campaign._M_MMAP_THRESHOLD) == (-1, -3)
+
+    @pytest.mark.parametrize("cdll", [lambda name: object(), _unloadable_libc])
+    def test_worker_set_up_without_mallopt(self, monkeypatch, cdll):
+        monkeypatch.setattr(campaign, "_worker_inputs", campaign._worker_inputs)
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        campaign._init_worker(("seed",), Path("out"))
+        assert campaign._worker_inputs == (("seed",), Path("out"))
 
 
 class TestExportRetrainingSet:
