@@ -444,16 +444,6 @@ class KeywordSpotterBackend(ModerationBackend):
         return [_verdict(distance, tag, self._threshold) for distance, tag in sweeps]
 
 
-def min_template_distance(
-    audio: AudioBuffer,
-    templates: Sequence[Tuple[str, np.ndarray]],
-    window_s: float,
-    hop_s: float,
-) -> float:
-    """Smallest windowed DTW distance to any template (calibration probe)."""
-    return _sweep(audio, templates, window_s, hop_s)[0]
-
-
 def calibrate_threshold(
     labeled_clips: Sequence[Tuple[AudioBuffer, bool]],
     templates: Sequence[Tuple[str, np.ndarray]],

@@ -10,18 +10,19 @@ clip answers non_toxic instead. ``run_campaign`` runs five stages: load
 so perturbed clips never pile up), tally (``_tally``) and emit (``_emit``:
 manifest, report.json, report.csv). Every query goes through one
 ``VerdictStore``, which asks each backend about each digest once, and about
-each job's new digests in one ``moderate_many`` call. Artifacts
-are content-addressed 16-bit WAVs next to a JSON manifest, so a finished
-campaign can be replayed offline against fixture backends and must reproduce
-its report byte for byte.
+each job's new digests in one ``moderate_many`` call; the probe, the tally
+and the manifest read its answers once the jobs that asked have joined.
+Artifacts are content-addressed 16-bit WAVs next to a JSON manifest, so a
+finished campaign can be replayed offline against fixture backends and must
+reproduce its report byte for byte.
 
 A seed's job runs in a pool thread, which holds the seed's clips until the
 backends have answered. When no backend reads the clip (``reads_audio``),
-as in every replay, and there are several workers, one job per case runs in
-forked worker processes instead (on Linux), which return only the case, and
-the campaign asks about each digest in job order: perturbation holds the
-GIL, and a clip sent back across the process boundary would cost more than
-the extra process saves. The pool has at most one worker per job. Each
+as in every replay, and there are several workers, the same jobs run in
+forked worker processes instead (on Linux), which return only the cases,
+and the campaign asks about each digest in job order: perturbation holds
+the GIL, and a clip sent back across the process boundary would cost more
+than the extra process saves. The pool has at most one worker per job. Each
 worker keeps the heap its jobs free (glibc's ``mallopt``; a no-op with
 another C library), where trimming it would make the next job fault the
 same pages in again. The workers exit with the pool, so that heap does
@@ -37,10 +38,10 @@ import os
 import sys
 import tempfile
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -283,55 +284,50 @@ def load_seed(spec: SeedSpec) -> LoadedSeed:
 
 class VerdictStore:
     """The verdicts of one campaign, keyed by (backend name, digest); None
-    marks a pair the backend left unanswered. Each pair is queried at most
-    once, also when concurrent jobs produce the same digest, so the seed
-    filter, the tally and the manifest all see one answer per pair."""
+    marks a pair the backend left unanswered. A job claims each pair under
+    a lock before it asks, so each pair is queried at most once, also when
+    concurrent jobs produce the same digest, and the seed filter, the tally
+    and the manifest all see one answer per pair. They read the answers
+    once the jobs that asked have joined, when every claimed pair holds
+    one."""
 
     def __init__(self, backends: Sequence[ModerationBackend]):
         if len({b.name for b in backends}) != len(backends):
             raise ConfigError("backend names must be unique", field="backends")
         self.backends = tuple(backends)
         self._lock = threading.Lock()
-        self._answers: Dict[Tuple[str, str], Future] = {}
+        self._claimed: Set[Tuple[str, str]] = set()
+        self._answers: Dict[Tuple[str, str], Optional[Verdict]] = {}
 
-    def ask_many(
-        self, clips: Sequence[Optional[AudioBuffer]], digests: Sequence[str]
-    ) -> List[Tuple[Optional[Verdict], ...]]:
-        """One verdict per backend, in backend order, for each clip; a clip
-        is None only when no backend reads it. Each backend is asked once,
-        through ``moderate_many``, about the digests no job has claimed yet;
-        the answers to the others are awaited."""
-        columns = [self._ask(backend, clips, digests) for backend in self.backends]
-        return list(zip(*columns))
+    def ask_many(self, clips: Sequence[Optional[AudioBuffer]], digests: Sequence[str]) -> None:
+        """Ask each backend once, through ``moderate_many``, about the
+        digests no job has claimed yet, and store its answers; a clip is
+        None only when no backend reads it."""
+        for backend in self.backends:
+            claimed: Dict[str, Optional[AudioBuffer]] = {}  # digest -> clip
+            with self._lock:
+                for clip, digest in zip(clips, digests):
+                    if (backend.name, digest) not in self._claimed:
+                        self._claimed.add((backend.name, digest))
+                        claimed[digest] = clip
+            if not claimed:
+                continue
+            verdicts = backend.moderate_many(list(claimed.values()), list(claimed))
+            if len(verdicts) != len(claimed):
+                raise CampaignError(
+                    f"backend {backend.name!r} answered {len(verdicts)} of {len(claimed)} clips"
+                )
+            with self._lock:
+                self._answers.update(((backend.name, d), v) for d, v in zip(claimed, verdicts))
 
-    def _ask(self, backend: ModerationBackend, clips, digests) -> List[Optional[Verdict]]:
-        claimed: Dict[str, tuple] = {}  # digest -> (its Future, clip)
-        with self._lock:
-            for clip, digest in zip(clips, digests):
-                if (backend.name, digest) not in self._answers:
-                    future = self._answers[backend.name, digest] = Future()
-                    claimed[digest] = future, clip
-            answers = [self._answers[backend.name, digest] for digest in digests]
-        if claimed:
-            futures, pending = zip(*claimed.values())
-            try:
-                verdicts = backend.moderate_many(pending, list(claimed))
-                if len(verdicts) != len(futures):
-                    raise CampaignError(
-                        f"backend {backend.name!r} answered {len(verdicts)} of {len(futures)} clips"
-                    )
-            except BaseException as exc:
-                for future in futures:
-                    future.set_exception(exc)
-            else:
-                for future, verdict in zip(futures, verdicts):
-                    future.set_result(verdict)
-        return [answer.result() for answer in answers]
+    def row(self, digest: str) -> Tuple[Optional[Verdict], ...]:
+        """The digest's verdicts, in backend order."""
+        return tuple(self._answers[b.name, digest] for b in self.backends)
 
     def as_json(self) -> Dict[str, Dict[str, Optional[dict]]]:
         tables: Dict[str, Dict[str, Optional[Verdict]]] = {b.name: {} for b in self.backends}
-        for (name, digest), answer in self._answers.items():
-            tables[name][digest] = answer.result()
+        for (name, digest), verdict in self._answers.items():
+            tables[name][digest] = verdict
         return {name: verdicts_to_json(table) for name, table in tables.items()}
 
 
@@ -372,15 +368,16 @@ def filter_seeds(
         raise CampaignError("no backends configured")
     with ThreadPoolExecutor(max_workers=workers) as pool:
         groups = _split(seeds, workers)
-        rows = pool.map(lambda g: verdicts.ask_many([s.audio for s in g], [s.digest for s in g]), groups)
-        answers = [row for group in rows for row in group]
+        # consumed so that a group's error reaches the caller
+        list(pool.map(lambda g: verdicts.ask_many([s.audio for s in g], [s.digest for s in g]), groups))
 
     names = [b.name for b in verdicts.backends]
     per_backend = {
         name: {"answered": 0, "flagged_toxic": 0, "matched_declared": 0} for name in names
     }
     retained = []
-    for seed, row in zip(seeds, answers):
+    for seed in seeds:
+        row = verdicts.row(seed.digest)
         for name, verdict in zip(names, row):
             if verdict is not None:
                 counts = per_backend[name]
@@ -416,9 +413,6 @@ def _write_artifact(audio: AudioBuffer, path: Path) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise CampaignError(f"cannot write artifact {path}: {exc}") from exc
-
-
-Outcome = Tuple[TestCase, Tuple[Optional[Verdict], ...]]
 
 
 def _generate(
@@ -461,85 +455,86 @@ def _init_worker(seeds: Sequence[LoadedSeed], output_dir: Path) -> None:
         mallopt(_M_MMAP_THRESHOLD, _HEAP_BELOW_BYTES)
 
 
-def _generate_in_worker(job: Tuple[int, Perturbation]) -> TestCase:
+def _generate_in_worker(job: Tuple[int, Sequence[Perturbation]]) -> List[TestCase]:
     seeds, output_dir = _worker_inputs
-    return _generate(seeds[job[0]], job[1], output_dir)[0]
+    return [_generate(seeds[job[0]], mr, output_dir)[0] for mr in job[1]]
 
 
 def _run_cases(
     seeds: Sequence[LoadedSeed], verdicts: VerdictStore, config: CampaignConfig
-) -> List[Outcome]:
-    """Stage 3, generate and query. A pool thread runs one job per seed: it
-    perturbs the seed with each relation, digests and writes each clip,
-    then asks each backend once about the job's clips. So a job holds one
-    seed's clips, only until every backend that reads audio has answered,
-    and at most about ``_JOB_AUDIO_BYTES`` of them: past that it asks about
-    those it holds before it makes the next. With fewer seeds than workers,
-    each seed's relations are split over ceil(workers / seeds) jobs, so
-    that ``workers`` jobs (an HTTP backend's requests in flight) still run
-    at once. Results keep job order (seed-major), which keeps the tally
-    deterministic.
+) -> List[TestCase]:
+    """Stage 3, generate and query. A job is one seed and a run of its
+    relations: it perturbs the seed with each, digests and writes each clip,
+    and the backends are asked about its cases in one batch. With fewer
+    seeds than workers, each seed's relations are split over
+    ceil(workers / seeds) jobs, so that ``workers`` jobs (an HTTP backend's
+    requests in flight) still run at once. The cases keep job order
+    (seed-major), and their verdicts stay in the store.
+
+    A pool thread runs a job and asks each backend once about the job's
+    clips itself. So a job holds one seed's clips, only until every backend
+    that reads audio has answered, and at most about ``_JOB_AUDIO_BYTES`` of
+    them: past that it asks about those it holds before it makes the next.
 
     When no backend reads the clip and workers > 1, forked worker processes
-    run one job per case instead and return its case, and the backends are
-    asked here, in job order. The pool starts at most one worker per job,
-    since fork starts them all up front, and each worker keeps the heap its
-    jobs free (``_init_worker``). A worker that dies (the out-of-memory
-    killer) is a CampaignError. Fork needs the probe's threads to be
-    joined, as they are, and no native library to run threads of its own:
-    that holds on Linux, while on macOS system libraries such as Accelerate
-    (which numpy may link) can, so elsewhere the jobs stay on threads."""
+    run the jobs instead and return their cases, and the backends are asked
+    here, in job order. The pool starts at most one worker per job, since
+    fork starts them all up front, and each worker keeps the heap its jobs
+    free (``_init_worker``). A worker that dies (the out-of-memory killer)
+    is a CampaignError. Fork needs the probe's threads to be joined, as they
+    are, and no native library to run threads of its own: that holds on
+    Linux, while on macOS system libraries such as Accelerate (which numpy
+    may link) can, so elsewhere the jobs stay on threads."""
+    parts = -(-config.workers // max(1, len(seeds)))
+    jobs = [(i, mrs) for i in range(len(seeds)) for mrs in _split(config.mrs, parts)]
     reads_audio = any(b.reads_audio for b in verdicts.backends)
-    if config.workers > 1 and seeds and sys.platform.startswith("linux") and not reads_audio:
+    if config.workers > 1 and jobs and sys.platform.startswith("linux") and not reads_audio:
         # imported here: the pool's modules would add about 1 MB to the
         # resident memory of every campaign, also those on threads
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
-        jobs = [(i, mr) for i in range(len(seeds)) for mr in config.mrs]
-        workers = min(config.workers, len(jobs))
         try:
             with ProcessPoolExecutor(
-                workers,
+                min(config.workers, len(jobs)),
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_init_worker,
                 initargs=(seeds, config.output_dir),
             ) as pool:
-                chunksize = max(1, len(jobs) // (4 * workers))
-                cases = list(pool.map(_generate_in_worker, jobs, chunksize=chunksize))
+                cases = [case for cases in pool.map(_generate_in_worker, jobs) for case in cases]
         except BrokenProcessPool as exc:
             raise CampaignError(
                 f"a worker process died while generating cases (killed, for example "
                 f"by the out-of-memory killer): {exc}"
             ) from exc
-        return list(zip(cases, verdicts.ask_many([None] * len(cases), [c.digest for c in cases])))
+        verdicts.ask_many([None] * len(cases), [c.digest for c in cases])
+        return cases
 
-    def run_job(job: Tuple[int, Sequence[Perturbation]]) -> List[Outcome]:
-        outcomes: List[Outcome] = []
-        cases, clips = [], []
-        for k, mr in enumerate(job[1]):
+    def run_job(job: Tuple[int, Sequence[Perturbation]]) -> List[TestCase]:
+        cases: List[TestCase] = []
+        clips: List[Optional[AudioBuffer]] = []  # those of the cases not yet asked about
+        for mr in job[1]:
             case, perturbed = _generate(seeds[job[0]], mr, config.output_dir)
             cases.append(case)
             clips.append(perturbed if reads_audio else None)
             del perturbed  # an unread clip is freed before the next is made
             held = sum(clip.samples.nbytes for clip in clips if clip is not None)
-            if k == len(job[1]) - 1 or held > _JOB_AUDIO_BYTES:
-                outcomes += zip(cases, verdicts.ask_many(clips, [c.digest for c in cases]))
-                cases, clips = [], []
-        return outcomes
+            if len(cases) == len(job[1]) or held > _JOB_AUDIO_BYTES:
+                verdicts.ask_many(clips, [c.digest for c in cases[-len(clips):]])
+                clips = []
+        return cases
 
-    parts = -(-config.workers // max(1, len(seeds)))
-    jobs = [(i, mrs) for i in range(len(seeds)) for mrs in _split(config.mrs, parts)]
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        return [outcome for outcomes in pool.map(run_job, jobs) for outcome in outcomes]
+        return [case for cases in pool.map(run_job, jobs) for case in cases]
 
 
-def _tally(outcomes: Sequence[Outcome], backend_names: Sequence[str]) -> Tuple[Cell, ...]:
+def _tally(cases: Sequence[TestCase], verdicts: VerdictStore) -> Tuple[Cell, ...]:
     """Stage 4: count every (case, backend) answer into its cell."""
+    names = [b.name for b in verdicts.backends]
     cells: Dict[Tuple[str, str, str], Cell] = {}
-    for case, row in outcomes:
-        for name, verdict in zip(backend_names, row):
+    for case in cases:
+        for name, verdict in zip(names, verdicts.row(case.digest)):
             key = (case.mr.label, case.category.value, name)
             cell = cells.get(key)
             if cell is None:
@@ -563,7 +558,7 @@ def report_row(cell: Mapping) -> list:
 def _emit(
     config: CampaignConfig,
     seeds: Sequence[LoadedSeed],
-    outcomes: Sequence[Outcome],
+    cases: Sequence[TestCase],
     cells: Tuple[Cell, ...],
     filter_report: Dict,
     verdicts: VerdictStore,
@@ -573,7 +568,7 @@ def _emit(
     moved campaign tree still replays."""
     out_dir = config.output_dir
     manifest_path = out_dir / "manifest.json"
-    cases = sorted((case for case, _ in outcomes), key=lambda c: (c.seed_id, c.mr.label))
+    cases = sorted(cases, key=lambda c: (c.seed_id, c.mr.label))
     manifest = {
         "version": __version__,
         "seeds": [
@@ -655,9 +650,9 @@ def run_campaign(
     seeds = _load_seeds(config)
     (config.output_dir / "artifacts").mkdir(parents=True, exist_ok=True)
     retained, filter_report = filter_seeds(seeds, verdicts, config.workers)
-    outcomes = _run_cases(retained, verdicts, config)
-    cells = _tally(outcomes, [b.name for b in verdicts.backends])
-    return _emit(config, seeds, outcomes, cells, filter_report, verdicts)
+    cases = _run_cases(retained, verdicts, config)
+    cells = _tally(cases, verdicts)
+    return _emit(config, seeds, cases, cells, filter_report, verdicts)
 
 
 def _read_manifest(path, keys: Sequence[str]) -> dict:

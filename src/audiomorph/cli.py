@@ -7,8 +7,8 @@ re-render a finished report. ``perturb --mr`` takes a relation in the
 JSON ``{"kind", "params"}`` form of a config's ``mrs`` entry or a
 manifest case, checked by the same reader. Machine
 output (JSON or TSV) goes to stdout; anything meant for humans goes to
-stderr. Exit codes: 0 success, 1 usage or parameter error, 2 runtime
-failure, 3 campaign filtered every seed out.
+stderr. Exit codes: 0 success, 1 usage, config, parameter or domain
+error, 2 runtime failure, 3 campaign filtered every seed out.
 """
 
 from __future__ import annotations
@@ -314,8 +314,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         field = f" (field: {exc.field})" if exc.field else ""
         print(f"config error: {exc}{field}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParameterError, DomainError) as exc:
+    except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except DomainError as exc:
+        print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except WavFormatError as exc:
         print(f"audio error: {exc}", file=sys.stderr)

@@ -583,7 +583,7 @@ class TestSpotKeywords:
     def test_distant_clip_non_toxic(self):
         clip = sine(3000.0, duration_s=0.6, amplitude=0.5)
         template = self._template(500.0)
-        d = spotter.min_template_distance(clip, [("insult", template)], 0.4, 0.1)
+        d = spotter._sweep(clip, [("insult", template)], 0.4, 0.1)[0]
         verdict = spotter.spot_keywords(clip, [("insult", template)], 0.4, 0.1, d / 2)
         assert verdict.category is Category.NON_TOXIC
         assert verdict.confidence == 0.0
@@ -654,8 +654,8 @@ class TestSpotKeywords:
             np.concatenate([lead.samples, word.samples, tail.samples], axis=1), RATE
         )
         template = self._template(500.0)
-        d_hit = spotter.min_template_distance(clip, [("porn", template)], 0.4, 0.1)
-        d_miss = spotter.min_template_distance(lead, [("porn", template)], 0.4, 0.1)
+        d_hit = spotter._sweep(clip, [("porn", template)], 0.4, 0.1)[0]
+        d_miss = spotter._sweep(lead, [("porn", template)], 0.4, 0.1)[0]
         assert d_hit < d_miss
         verdict = spotter.spot_keywords(
             clip, [("porn", template)], 0.4, 0.1, threshold=(d_hit + d_miss) / 2
@@ -786,7 +786,7 @@ class TestTemplatesAndCalibration:
         threshold, accuracy = spotter.calibrate_threshold(clips, templates)
         assert accuracy == 1.0
         for clip, is_toxic in clips:
-            d = spotter.min_template_distance(clip, templates, 0.4, 0.1)
+            d = spotter._sweep(clip, templates, 0.4, 0.1)[0]
             assert (d < threshold) == is_toxic
 
 

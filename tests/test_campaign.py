@@ -10,6 +10,7 @@ import multiprocessing
 import os
 import shutil
 import sys
+import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -17,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from audiomorph import campaign, deskcorpus
 from audiomorph.audio import AudioBuffer, content_digest, read_wav, write_wav
@@ -759,7 +762,7 @@ class TestSeedJobs:
 
     def test_overlapping_batches_ask_each_digest_once(self):
         # eight threads claim overlapping batches with frequent switches: a
-        # lost claim would ask a digest twice or leave a thread waiting
+        # lost claim would ask a digest twice or leave a pair unanswered
         digests = [f"d{i}" for i in range(30)]
         backend = BatchRecorder("b", {d: Category.SPAM for d in digests[::3]})
         store = VerdictStore([backend])
@@ -770,14 +773,41 @@ class TestSeedJobs:
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 futures = [pool.submit(store.ask_many, [None] * len(b), b) for b in batches]
-                rows = [future.result(timeout=30) for future in futures]
+                assert [future.result(timeout=30) for future in futures] == [None] * len(batches)
         finally:
             sys.setswitchinterval(interval)
         assert sorted(backend.queried) == sorted(set(backend.queried))
         assert set(backend.queried) == {d for b in batches for d in b}
-        for batch, answers in zip(batches, rows):
-            expected = [Category.SPAM if d in digests[::3] else Category.NON_TOXIC for d in batch]
-            assert [row[0].category for row in answers] == expected
+        for d in backend.queried:
+            expected = Category.SPAM if d in digests[::3] else Category.NON_TOXIC
+            assert [verdict.category for verdict in store.row(d)] == [expected]
+
+    # the desk probe makes the first 12 calls, so call 5 fails in the probe
+    # and call 15 in stage 3
+    @pytest.mark.parametrize("failing_call", [5, 15])
+    def test_backend_error_ends_the_campaign_cleanly(self, tmp_path, failing_call):
+        # an error that is not a case's own (not a CASE_ERROR) ends the
+        # campaign: it reaches the caller, no report is written, and the
+        # pool's threads are joined, also those of jobs that asked before
+        deskcorpus.build_corpus(tmp_path, base_seed=100)
+        config = CampaignConfig.from_file(tmp_path / "campaign.json")
+        config = dataclasses.replace(config, workers=3)
+        script = {load_seed(spec).digest: spec.category for spec in config.seeds}
+        lock = threading.Lock()
+
+        class FailsOnce(ScriptedBackend):
+            def moderate(self, audio, digest):
+                with lock:
+                    verdict = super().moderate(audio, digest)
+                    if self.calls == failing_call:
+                        raise RuntimeError(f"backend crashed on call {failing_call}")
+                return verdict
+
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"crashed on call {failing_call}"):
+            run_campaign(config, backends=[FailsOnce("b", script)])
+        assert not (config.output_dir / "report.json").exists()
+        assert threading.active_count() == threads
 
     def test_wrong_answer_count_is_an_error(self, tmp_path):
         config, buf = self._one_seed(tmp_path, [{"kind": "gain", "params": {"db": 6.0}}], 1)
@@ -788,6 +818,48 @@ class TestSeedJobs:
 
         with pytest.raises(CampaignError, match="answered 0 of 1 clips"):
             run_campaign(config, backends=[Short("b")])
+
+
+class TestReplayIdentity:
+    """Replay identity as a property: whatever the worker counts of the run
+    and of its replay, each (backend, digest) pair is asked once and the
+    replay leaves the run's bytes, also with a twin seed, colliding
+    relations and a backend whose answers drift on a repeat."""
+
+    @given(run_workers=st.integers(1, 4), replay_workers=st.integers(1, 4))
+    @settings(max_examples=8, deadline=None)
+    def test_replay_identical_at_any_worker_counts(self, run_workers, replay_workers):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            seed, buf = _make_seed(root, "s", 300.0, "insult")
+            twin, _ = _make_seed(root, "twin", 300.0, "insult")  # the same digests as s
+            other, other_buf = _make_seed(root, "o", 450.0, "porn")
+            # gain 0 dB gives the seed back; the two louder ones share a digest
+            mrs = tuple(Perturbation("gain", {"db": db}) for db in (0.0, 6.0, 6.0000000001))
+            config = CampaignConfig(
+                seeds=(seed, twin, other),
+                mrs=mrs,
+                backend_configs=(),
+                output_dir=root / "out",
+                workers=run_workers,
+            )
+            # the louder "o" is missed; a repeated query would miss them all
+            script = {
+                content_digest(buf): Category.INSULT,
+                content_digest(mrs[1].apply(buf)): Category.INSULT,
+                content_digest(other_buf): Category.PORN,
+            }
+            backend = FlippingBackend("flip", script)
+            run = run_campaign(config, backends=[backend])
+            recorded = json.loads(run.manifest.read_text(encoding="utf-8"))
+            assert sorted(backend.queried) == sorted(set(backend.queried))
+            assert set(backend.queried) == set(recorded["verdicts"]["flip"])
+            assert len(recorded["cases"]) == 9
+            replay = replay_campaign(run.manifest, root / "replay", workers=replay_workers)
+            assert replay.report_json.read_bytes() == run.report_json.read_bytes()
+            assert replay.report_csv.read_bytes() == run.report_csv.read_bytes()
+            replayed = json.loads(replay.manifest.read_text(encoding="utf-8"))
+            assert replayed["cases"] == recorded["cases"]
 
 
 def _outputs(report):

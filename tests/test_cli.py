@@ -603,6 +603,20 @@ class TestDesk:
         assert run_cli(capsys, "desk", str(root))[0] == 1
         assert config.read_bytes() == before
 
+    def test_domain_error_named_as_such(self, capsys, tmp_path):
+        # a stretch to 0.3 leaves a desk clip shorter than the spotter's
+        # window; the DomainError crosses the store at the config's workers
+        root = tmp_path / "demo"
+        assert run_cli(capsys, "desk", str(root))[0] == 0
+        config = json.loads((root / "campaign.json").read_text(encoding="utf-8"))
+        assert config["workers"] == 4
+        config["mrs"].append({"kind": "time_stretch", "params": {"factor": 0.3}})
+        (root / "campaign.json").write_text(json.dumps(config), encoding="utf-8")
+        code, stdout, err = run_cli(capsys, "campaign", str(root / "campaign.json"))
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("domain error: window of 38 feature frames exceeds clip")
+
     def test_never_rebuilds_over_a_config(self, capsys, tmp_path):
         config = tmp_path / "campaign.json"
         config.write_text('{"edited": true}\n', encoding="utf-8")
