@@ -73,9 +73,11 @@ DEFAULT_WORKERS = 4
 _CONFIG_KEYS = ("seeds", "mrs", "backends", "output_dir", "workers")
 _SEED_KEYS = ("id", "path", "category", "transcript")
 # the JSON type of each top-level manifest key that is read back
-_MANIFEST_TYPES = {"seeds": list, "mrs": list, "backends": list, "verdicts": dict, "cases": list}
+_MANIFEST_TYPES = {
+    "version": str, "seeds": list, "mrs": list, "backends": list, "verdicts": dict, "cases": list
+}
 
-# the columns of report.csv and of `audiomorph report`, in order
+# the columns of report.csv, in order
 REPORT_COLUMNS = ("mr", "category", "backend", "generated", "misclassified", "unanswered", "efr")
 
 
@@ -338,14 +340,31 @@ def _load_seeds(config: CampaignConfig) -> List[LoadedSeed]:
     except OSError as exc:
         raise CampaignError(f"cannot load seed audio: {exc}") from exc
     if any(mr.needs_transcript for mr in config.mrs):
-        missing = [s.spec.seed_id for s in seeds if s.transcript is None]
-        if missing:
+        # the discontinuity op's own checks, made before any backend is asked
+        faults: Dict[str, List[str]] = {}
+        for seed in seeds:
+            fault = _transcript_fault(seed)
+            if fault:
+                faults.setdefault(fault, []).append(seed.spec.seed_id)
+        if faults:
             raise ConfigError(
-                f"discontinuity relations need aligned transcripts; "
-                f"seeds without one: {missing}",
+                "discontinuity relations need aligned transcripts; "
+                + "; ".join(f"seeds {fault}: {ids}" for fault, ids in faults.items()),
                 field="transcript",
             )
     return seeds
+
+
+def _transcript_fault(seed: LoadedSeed) -> Optional[str]:
+    """Why the discontinuity op would reject the seed's transcript, or None."""
+    if seed.transcript is None:
+        return "without one"
+    alignment = seed.transcript.alignment
+    if alignment is None:
+        return "with an unaligned one"
+    if alignment and alignment[-1][1] > seed.audio.duration + 1e-9:
+        return "whose alignment ends past their audio"
+    return None
 
 
 def _split(items: Sequence, parts: int) -> list:
@@ -675,9 +694,18 @@ def replay_campaign(manifest_path, output_dir, workers: int = DEFAULT_WORKERS) -
     recorded relation descriptors, and every query is answered by a fixture
     backend loaded from the backend's recorded verdict table. The resulting
     report must be byte-identical to the original; regenerated cases that
-    differ from the recorded ones are a CampaignError."""
+    differ from the recorded ones are a CampaignError. A manifest another
+    version wrote is a ConfigError, before any seed is read."""
     manifest_path = Path(manifest_path)
-    manifest = _read_manifest(manifest_path, ("seeds", "mrs", "backends", "verdicts", "cases"))
+    manifest = _read_manifest(
+        manifest_path, ("version", "seeds", "mrs", "backends", "verdicts", "cases")
+    )
+    if manifest["version"] != __version__:
+        raise ConfigError(
+            f"manifest {manifest_path} was written by audiomorph {manifest['version']}, "
+            f"which this version {__version__} cannot replay",
+            field="version",
+        )
     tables = manifest["verdicts"]
     backends = []
     for name in manifest["backends"]:

@@ -1,14 +1,13 @@
 """Command line front end.
 
-One binary, six subcommands: perturb a single file, build the offline desk
-corpus, run a campaign from a declarative config, calibrate the local
-keyword spotter, rank keywords for the discontinuity relation, and
-re-render a finished report. ``perturb --mr`` takes a relation in the
-JSON ``{"kind", "params"}`` form of a config's ``mrs`` entry or a
-manifest case, checked by the same reader. Machine
-output (JSON or TSV) goes to stdout; anything meant for humans goes to
-stderr. Exit codes: 0 success, 1 usage, config, parameter or domain
-error, 2 runtime failure, 3 campaign filtered every seed out.
+One binary, four subcommands: perturb a single file, build the offline
+desk corpus, run a campaign from a declarative config, and calibrate the
+local keyword spotter. ``perturb --mr`` takes a relation in the JSON
+``{"kind", "params"}`` form of a config's ``mrs`` entry or a manifest
+case, checked by the same reader. Machine output (JSON) goes to stdout;
+anything meant for humans goes to stderr. Exit codes: 0 success, 1 usage,
+config, parameter or domain error, 2 runtime failure, 3 campaign filtered
+every seed out.
 """
 
 from __future__ import annotations
@@ -24,11 +23,9 @@ from . import __version__
 from .audio import WavFormatError, content_digest, read_wav, write_wav
 from .campaign import (
     DEFAULT_WORKERS,
-    REPORT_COLUMNS,
     CampaignConfig,
     export_retraining_set,
     replay_campaign,
-    report_row,
     run_campaign,
 )
 from .errors import (
@@ -38,27 +35,13 @@ from .errors import (
     DomainError,
     ParameterError,
 )
-from .perturb import OPS, Perturbation, check_relation, read_descriptor
-from .perturb.linguistic import (
-    Transcript,
-    benign_discontinuity_text,
-    default_lexicon,
-    homophone_substitute,
-    load_lexicon,
-    load_stopwords,
-    load_transcript,
-    render_text,
-    save_transcript,
-    select_keywords,
-)
+from .perturb import Perturbation
+from .perturb.linguistic import load_transcript
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 EXIT_NO_SEEDS = 3
-
-# the text relations edit transcripts; the audio ones are perturb.OPS
-_TEXT_OPS = {"homophone": homophone_substitute, "discontinuity_text": benign_discontinuity_text}
 
 
 class _UsageError(Exception):
@@ -80,7 +63,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--mr", required=True,
                    help='relation as a config\'s "mrs" entry: {"kind": ..., "params": {...}}')
     p.add_argument("--transcript", default=None, help="aligned transcript (TSV)")
-    p.add_argument("--lexicon", default=None, help="homophone lexicon (TSV)")
     p.add_argument("input")
     p.add_argument("output")
 
@@ -99,20 +81,12 @@ def _build_parser() -> _Parser:
                    help="also export a retraining manifest with this split fraction")
     c.add_argument("--export-seed", type=int, default=0)
 
-    k = sub.add_parser("keywords", help="rank corpus tokens by TF-IDF")
-    k.add_argument("corpus", help="one document per line")
-    k.add_argument("--stopwords", default=None)
-    k.add_argument("-k", type=int, default=10)
-
     cal = sub.add_parser("calibrate", help="pick a spotter threshold")
     cal.add_argument("--templates", required=True, help="template directory")
     cal.add_argument("--clips", required=True,
                      help="TSV manifest: wav path <TAB> toxic|benign")
     cal.add_argument("--window", type=float, default=0.4)
     cal.add_argument("--hop", type=float, default=0.1)
-
-    r = sub.add_parser("report", help="re-render a report JSON as TSV")
-    r.add_argument("report")
     return parser
 
 
@@ -121,37 +95,18 @@ def _cmd_perturb(args) -> int:
         payload = json.loads(args.mr)
     except ValueError as exc:
         raise _UsageError(f"--mr must be a JSON relation descriptor: {exc}")
-    kind, params = read_descriptor(payload)
-    kind = check_relation(kind, params, {**OPS, **_TEXT_OPS})
-    if args.lexicon and kind != "homophone":
-        raise _UsageError(f"{kind} does not take --lexicon")
-    descriptor = {"kind": kind, "params": params, "output": args.output}
-
-    if kind in _TEXT_OPS:
-        if args.transcript:
-            raise _UsageError(f"{kind} does not take --transcript")
-        transcript = load_transcript(args.input)
-        if kind == "homophone":
-            lexicon = load_lexicon(args.lexicon) if args.lexicon else default_lexicon()
-            out_t = homophone_substitute(transcript, lexicon, **params).transcript
-        else:
-            out_t = benign_discontinuity_text(transcript, **params)
-        save_transcript(out_t, args.output)
-        print(json.dumps(descriptor, sort_keys=True))
-        print(render_text(out_t), file=sys.stderr)
-        return EXIT_OK
-
-    perturbation = Perturbation(kind, params)
+    perturbation = Perturbation.from_dict(payload)
     transcript = None
     if perturbation.needs_transcript:
         if not args.transcript:
-            raise _UsageError(f"{kind} requires --transcript")
+            raise _UsageError(f"{perturbation.kind} requires --transcript")
         transcript = load_transcript(args.transcript)
     elif args.transcript:
-        raise _UsageError(f"{kind} does not take --transcript")
+        raise _UsageError(f"{perturbation.kind} does not take --transcript")
     perturbed = perturbation.apply(read_wav(args.input), transcript)
     write_wav(perturbed, args.output)
-    descriptor["digest"] = content_digest(perturbed)
+    descriptor = {**perturbation.describe(), "output": args.output,
+                  "digest": content_digest(perturbed)}
     print(json.dumps(descriptor, sort_keys=True))
     return EXIT_OK
 
@@ -221,23 +176,6 @@ def _print_summary(report) -> None:
         )
 
 
-def _cmd_keywords(args) -> int:
-    try:
-        text = Path(args.corpus).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CampaignError(f"cannot read corpus {args.corpus}: {exc}") from exc
-    corpus = [
-        Transcript(tuple(line.split()))
-        for line in text.splitlines()
-        if line.strip()
-    ]
-    stopwords = load_stopwords(args.stopwords) if args.stopwords else frozenset()
-    scores = select_keywords(corpus, stopwords=stopwords, k=args.k)
-    for entry in scores:
-        print(f"{entry.token}\t{entry.tf_idf!r}")
-    return EXIT_OK
-
-
 def _cmd_calibrate(args) -> int:
     from .backends.spotter import calibrate_threshold, load_templates
 
@@ -269,32 +207,11 @@ def _cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_report(args) -> int:
-    try:
-        payload = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise CampaignError(f"cannot read report {args.report}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"report is not valid JSON: {exc}") from exc
-    cells = payload.get("cells") if isinstance(payload, dict) else None
-    if not isinstance(cells, list) or not all(
-        isinstance(cell, dict) and cell.keys() >= set(REPORT_COLUMNS) for cell in cells
-    ):
-        raise ConfigError(f"report {args.report} needs a 'cells' list of report cells", field="cells")
-    print("\t".join(REPORT_COLUMNS))
-    for cell in cells:
-        print("\t".join(map(str, report_row(cell))))
-    print(f"version {payload.get('version', '?')}, {len(cells)} cells", file=sys.stderr)
-    return EXIT_OK
-
-
 _COMMANDS = {
     "perturb": _cmd_perturb,
     "desk": _cmd_desk,
     "campaign": _cmd_campaign,
-    "keywords": _cmd_keywords,
     "calibrate": _cmd_calibrate,
-    "report": _cmd_report,
 }
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import inspect
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional
 
 from ..audio import AudioBuffer
 from ..errors import ConfigError, DomainError, read_params, reject_unknown_keys
@@ -51,39 +51,6 @@ def _signature(op: Callable) -> inspect.Signature:
     return inspect.signature(op, eval_str=True)
 
 
-#: arguments the caller hands an op beside its clip or transcript; they
-#: are inputs, not relation parameters
-_INPUTS = ("transcript", "lexicon")
-
-
-def read_descriptor(payload: Any) -> Tuple[Any, Any]:
-    """The kind and params of a ``{"kind", "params"}`` descriptor, as given;
-    params default to ``{}``. A payload that is not an object with a
-    ``kind``, or any other key, is a ConfigError naming the key."""
-    if not isinstance(payload, Mapping) or "kind" not in payload:
-        raise ConfigError(
-            f"relation descriptor must be an object with a 'kind', got {payload!r}", field="kind"
-        )
-    reject_unknown_keys(payload, ("kind", "params"), f"relation {payload['kind']!r}")
-    return payload["kind"], payload.get("params", {})
-
-
-def check_relation(kind: Any, params: Any, ops: Mapping[str, Callable]) -> str:
-    """The normalized ``kind``, once ``params`` pass read_params over the
-    parameters of its op in ``ops`` after the clip or transcript, less
-    ``_INPUTS``. A kind not in ``ops`` or params that are not an object is
-    a ConfigError naming ``kind`` or ``params``."""
-    if not (isinstance(kind, str) and normalize_kind(kind) in ops):
-        raise ConfigError(f"unknown relation kind {kind!r}", field="kind")
-    kind = normalize_kind(kind)
-    if not isinstance(params, Mapping):
-        raise ConfigError(f"relation {kind!r}: 'params' must be an object, got {params!r}",
-                          field="params")
-    parameters = list(_signature(ops[kind]).parameters.values())[1:]
-    read_params([p for p in parameters if p.name not in _INPUTS], params, f"relation {kind!r}")
-    return kind
-
-
 @dataclass(frozen=True)
 class Perturbation:
     """Reproducible descriptor: registry kind plus parameters (seeds
@@ -94,8 +61,19 @@ class Perturbation:
 
     def __post_init__(self):
         # every value fails here, at config load, not on the first case
-        object.__setattr__(self, "kind", check_relation(self.kind, self.params, OPS))
-        object.__setattr__(self, "params", dict(self.params))
+        kind, params = self.kind, self.params
+        if not (isinstance(kind, str) and normalize_kind(kind) in OPS):
+            raise ConfigError(f"unknown relation kind {kind!r}", field="kind")
+        kind = normalize_kind(kind)
+        if not isinstance(params, Mapping):
+            raise ConfigError(f"relation {kind!r}: 'params' must be an object, got {params!r}",
+                              field="params")
+        # the op's parameters after the clip; its transcript is an input
+        parameters = list(_signature(OPS[kind]).parameters.values())[1:]
+        read_params([p for p in parameters if p.name != "transcript"], params,
+                    f"relation {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", dict(params))
 
     @property
     def needs_transcript(self) -> bool:
@@ -123,10 +101,17 @@ class Perturbation:
         return f"{self.kind}({inner})"
 
     @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "Perturbation":
-        """The relation of a ``{"kind", "params"}`` descriptor (read_descriptor)."""
-        return cls(*read_descriptor(payload))
+    def from_dict(cls, payload: Any) -> "Perturbation":
+        """The relation of a ``{"kind", "params"}`` descriptor; params default
+        to ``{}``. A payload that is not an object with a ``kind``, or any
+        other key, is a ConfigError naming the key."""
+        if not isinstance(payload, Mapping) or "kind" not in payload:
+            raise ConfigError(
+                f"relation descriptor must be an object with a 'kind', got {payload!r}",
+                field="kind",
+            )
+        reject_unknown_keys(payload, ("kind", "params"), f"relation {payload['kind']!r}")
+        return cls(payload["kind"], payload.get("params", {}))
 
 
-__all__ = ["OPS", "Perturbation", "PerturbationFn", "check_relation", "normalize_kind",
-           "read_descriptor", "basic", "compound"]
+__all__ = ["OPS", "Perturbation", "PerturbationFn", "normalize_kind", "basic", "compound"]

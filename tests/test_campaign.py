@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from audiomorph import campaign, deskcorpus
+from audiomorph import __version__, campaign, deskcorpus
 from audiomorph.audio import AudioBuffer, content_digest, read_wav, write_wav
 from audiomorph.backends import Category, ModerationBackend, Verdict
 from audiomorph.backends.fixture import FixtureBackend
@@ -519,10 +519,14 @@ class TestReplay:
         assert replayed.report_csv.read_bytes() == (tmp_path / original.report_csv).read_bytes()
 
 
-def _transcribed_tree(root, transcribed=("a", "b")):
-    """A discontinuity campaign over insult seeds a and b under ``root``,
-    with aligned transcripts for those in ``transcribed``; returns the
-    config and the seed digests."""
+_ALIGNED = "son\t0.0\t0.2\nof\t0.2\t0.3\nbitch\t0.3\t0.45\n"
+
+
+def _transcribed_tree(root, transcripts=(("a", _ALIGNED), ("b", _ALIGNED))):
+    """A discontinuity campaign over 0.5 s insult seeds a and b under
+    ``root``, each seed named in ``transcripts`` with that transcript file
+    text; returns the config and the seed digests."""
+    transcripts = dict(transcripts)
     (root / "seeds").mkdir(parents=True)
     digests = []
     seeds = []
@@ -530,10 +534,8 @@ def _transcribed_tree(root, transcribed=("a", "b")):
         _, buf = _make_seed(root / "seeds", name, 300.0 + 100 * i, "insult")
         digests.append(content_digest(buf))
         seed = {"id": name, "path": f"seeds/{name}.wav", "category": "insult"}
-        if name in transcribed:
-            (root / "seeds" / f"{name}.tsv").write_text(
-                "son\t0.0\t0.2\nof\t0.2\t0.3\nbitch\t0.3\t0.45\n", encoding="utf-8"
-            )
+        if name in transcripts:
+            (root / "seeds" / f"{name}.tsv").write_text(transcripts[name], encoding="utf-8")
             seed["transcript"] = f"seeds/{name}.tsv"
         seeds.append(seed)
     config = {
@@ -571,13 +573,22 @@ class TestTranscriptRelations:
         assert replayed.report_json.read_bytes() == (moved / "out" / "report.json").read_bytes()
         assert replayed.report_csv.read_bytes() == (moved / "out" / "report.csv").read_bytes()
 
-    def test_seed_without_transcript_rejected_before_any_query(self, tmp_path):
-        config, digests = _transcribed_tree(tmp_path, transcribed=("a",))
+    @pytest.mark.parametrize("transcripts, named", [
+        ([("a", _ALIGNED)], r"without one: \['b'\]"),
+        ([("a", _ALIGNED), ("b", "son\nof\nbitch\n")], r"with an unaligned one: \['b'\]"),
+        ([("a", _ALIGNED), ("b", "son\t0.0\t0.2\nof\t0.2\t0.3\nbitch\t0.3\t0.6\n")],
+         r"whose alignment ends past their audio: \['b'\]"),
+        ([("a", "son\nof\nbitch\n")],
+         r"with an unaligned one: \['a'\]; seeds without one: \['b'\]"),
+    ], ids=["missing", "unaligned", "past-the-audio", "both-named"])
+    def test_seed_without_transcript_rejected_before_any_query(self, tmp_path, transcripts, named):
+        config, digests = _transcribed_tree(tmp_path, transcripts)
         backend = ScriptedBackend("b", {d: Category.INSULT for d in digests})
-        with pytest.raises(ConfigError, match=r"transcripts; seeds without one: \['b'\]") as err:
+        with pytest.raises(ConfigError, match=rf"transcripts; seeds {named}$") as err:
             run_campaign(config, backends=[backend])
         assert err.value.field == "transcript"
         assert backend.calls == 0
+        assert not (tmp_path / "out").exists()
 
 
 class TestQueryOnce:
@@ -921,6 +932,7 @@ class TestProcessPath:
         tables = {content_digest(loud): {"category": "insult", "confidence": None},
                   content_digest(read_wav(tmp_path / "quiet.wav")): {"category": "spam"}}
         manifest = {
+            "version": __version__,
             "seeds": [{"id": name, "path": f"{name}.wav", "category": "insult"}
                       for name in ("loud", "quiet")],
             "mrs": [{"kind": "gain", "params": {"db": 6.0}},

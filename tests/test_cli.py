@@ -1,7 +1,6 @@
 """Command line surface: exit codes, stdout machine-parseability, relation
 descriptor validation, and the wiring of every subcommand."""
 
-import csv
 import inspect
 import json
 import os
@@ -21,6 +20,8 @@ from audiomorph.backends import Category, Verdict
 from audiomorph.perturb import OPS, Perturbation
 from .conftest import sine
 from .oracles import rms
+from .test_golden_digests import RELATIONS, TRANSCRIPT
+from .test_linguistic import save_transcript
 
 
 def run_cli(capsys, *argv):
@@ -47,6 +48,15 @@ class TestTopLevel:
         code, _, err = run_cli(capsys, "transmogrify")
         assert code == 1
         assert err
+
+    def test_four_subcommands(self, capsys, quiet_wav, tmp_path):
+        subparsers = next(a for a in cli._build_parser()._actions if a.dest == "command")
+        assert list(subparsers.choices) == ["perturb", "desk", "campaign", "calibrate"]
+        code, _, err = run_cli(
+            capsys, "perturb", "--mr", '{"kind": "gain", "params": {"db": 6}}',
+            "--lexicon", "lex.tsv", str(quiet_wav), str(tmp_path / "out.wav"),
+        )
+        assert code == 1 and "--lexicon" in err
 
     def test_unknown_flag_rejected(self, capsys, quiet_wav, tmp_path):
         code, _, _ = run_cli(
@@ -201,77 +211,16 @@ class TestPerturb:
         assert code == 1
         assert "--transcript" in err
 
-    @pytest.mark.parametrize("kind, params", [
-        ("gain", {"db": 6}),
-        ("discontinuity_text", {"targets": ["x"], "repeats": 2}),
-    ])
-    def test_transcript_rejected_where_not_taken(self, capsys, quiet_wav, tmp_path, kind, params):
+    def test_transcript_rejected_where_not_taken(self, capsys, quiet_wav, tmp_path):
         words = tmp_path / "words.tsv"
         words.write_text("x\t0.0\t0.1\n", encoding="utf-8")
         code, stdout, err = run_cli(
-            capsys, "perturb", "--mr", mr(kind, **params), "--transcript", str(words),
+            capsys, "perturb", "--mr", mr("gain", db=6), "--transcript", str(words),
             str(quiet_wav), str(tmp_path / "o.out"),
         )
         assert code == 1
-        assert stdout == "" and f"{kind} does not take --transcript" in err
+        assert stdout == "" and "gain does not take --transcript" in err
         assert not (tmp_path / "o.out").exists()
-
-    @pytest.mark.parametrize("kind, params", [
-        ("gain", {"db": 6}),
-        ("discontinuity_text", {"targets": ["x"], "repeats": 2}),
-    ])
-    def test_lexicon_rejected_where_not_taken(self, capsys, quiet_wav, tmp_path, kind, params):
-        code, stdout, err = run_cli(
-            capsys, "perturb", "--mr", mr(kind, **params),
-            "--lexicon", str(tmp_path / "nonexistent.tsv"),
-            str(quiet_wav), str(tmp_path / "o.out"),
-        )
-        assert code == 1
-        assert stdout == "" and f"{kind} does not take --lexicon" in err
-        assert not (tmp_path / "o.out").exists()
-
-    def test_homophone_text(self, capsys, tmp_path):
-        src = tmp_path / "line.tsv"
-        src.write_text("fuck\nyou\n", encoding="utf-8")
-        out = tmp_path / "subbed.tsv"
-        code, stdout, err = run_cli(
-            capsys, "perturb", "--mr", mr("homophone", targets=["fuck"]), str(src), str(out),
-        )
-        assert code == 0
-        descriptor = json.loads(stdout)
-        assert descriptor["kind"] == "homophone"
-        # params are printed as given; the omitted seed takes its default
-        assert descriptor["params"] == {"targets": ["fuck"]}
-        assert out.read_text().split() == ["folk", "you"]
-        assert "folk you" in err
-
-    def test_discontinuity_text(self, capsys, tmp_path):
-        src = tmp_path / "line.tsv"
-        src.write_text("son\nof\na\nbitch\n", encoding="utf-8")
-        out = tmp_path / "stuttered.tsv"
-        code, _, err = run_cli(
-            capsys, "perturb", "--mr", mr("discontinuity-text", targets=["bitch"], repeats=3),
-            str(src), str(out),
-        )
-        assert code == 0
-        assert "son of a... a... a... bitch" in err
-
-    @pytest.mark.parametrize("params, field", [
-        ({"targets": "bitch", "repeats": 3}, "targets"),
-        ({"targets": ["bitch"], "repeats": 3, "marker": "!"}, "marker"),
-        ({"targets": ["bitch"], "repeats": 3.0}, "repeats"),
-        ({"targets": ["bitch"]}, "repeats"),
-    ])
-    def test_text_params_read_as_given(self, capsys, tmp_path, params, field):
-        src = tmp_path / "line.tsv"
-        src.write_text("son\nof\na\nbitch\n", encoding="utf-8")
-        code, stdout, err = run_cli(
-            capsys, "perturb", "--mr", mr("discontinuity_text", **params),
-            str(src), str(tmp_path / "out.tsv"),
-        )
-        assert code == 1
-        assert stdout == "" and "config error: relation 'discontinuity_text'" in err
-        assert f"(field: {field})" in err
 
 
 def test_manifest_cases_reproduce_through_perturb(capsys, tmp_path):
@@ -291,6 +240,28 @@ def test_manifest_cases_reproduce_through_perturb(capsys, tmp_path):
         assert json.loads(stdout)["digest"] == case["digest"], case
 
 
+@pytest.mark.parametrize("relation", RELATIONS, ids=[r.label for r in RELATIONS])
+def test_every_registry_op_runs_through_perturb(capsys, tmp_path, relation):
+    """Each kind of ``perturb.OPS`` runs from ``perturb --mr``: stdout
+    carries the relation's own descriptor, and the digest of the clip
+    ``Perturbation.apply`` gives for the same input."""
+    wav, words, out = tmp_path / "in.wav", tmp_path / "words.tsv", tmp_path / "out.wav"
+    write_wav(sine(200.0, duration_s=1.0, amplitude=0.3), wav)
+    save_transcript(TRANSCRIPT, words)
+    transcript_args = ["--transcript", str(words)] if relation.needs_transcript else []
+    code, stdout, err = run_cli(
+        capsys, "perturb", "--mr", json.dumps(relation.describe()), *transcript_args,
+        str(wav), str(out),
+    )
+    assert code == 0, err
+    expected = relation.apply(read_wav(wav), TRANSCRIPT)
+    assert json.loads(stdout) == {
+        **relation.describe(), "output": str(out), "digest": content_digest(expected),
+    }
+    written = read_wav(out)
+    assert (written.frames, written.sample_rate) == (expected.frames, expected.sample_rate)
+
+
 @pytest.mark.parametrize("mr_entry, field", [
     ({"kind": "gain", "params": {"db": "6"}}, "db"),
     ({"kind": "gain", "params": {"db": 6, "decibels": 6}}, "decibels"),
@@ -299,6 +270,13 @@ def test_manifest_cases_reproduce_through_perturb(capsys, tmp_path):
     ({"kind": "sparkle", "params": {}}, "kind"),
     ({"kind": 5}, "kind"),
     ({"kind": "gain", "params": 6}, "params"),
+    ({"kind": "discontinuity", "params": {"targets": "bitch", "gap_s": 0.1, "repeats": 3}},
+     "targets"),
+    ({"kind": "discontinuity",
+      "params": {"targets": ["bitch"], "gap_s": 0.1, "repeats": 3, "marker": "!"}}, "marker"),
+    ({"kind": "discontinuity", "params": {"targets": ["bitch"], "gap_s": 0.1, "repeats": 3.0}},
+     "repeats"),
+    ({"kind": "discontinuity", "params": {"targets": ["bitch"], "gap_s": 0.1}}, "repeats"),
 ])
 def test_relation_errors_match_between_perturb_and_config(
     capsys, quiet_wav, tmp_path, mr_entry, field
@@ -328,13 +306,12 @@ def _readme_perturb_commands():
 
 def test_readme_perturb_examples_run(capsys, tmp_path, monkeypatch):
     commands = _readme_perturb_commands()
-    assert len(commands) >= 7
+    assert len(commands) >= 5
     monkeypatch.chdir(tmp_path)
     write_wav(sine(200.0, duration_s=1.0, amplitude=0.3), tmp_path / "in.wav")
     (tmp_path / "words.tsv").write_text(
         "son\t0.0\t0.2\nof\t0.2\t0.4\na\t0.4\t0.6\nbitch\t0.6\t0.9\n", encoding="utf-8"
     )
-    (tmp_path / "in.txt").write_text("fuck\nyou\nson\nof\na\nbitch\n", encoding="utf-8")
     for command in commands:
         code, _, err = run_cli(capsys, *shlex.split(command)[1:])
         assert code == 0, f"{command}: {err}"
@@ -355,16 +332,14 @@ def _readme_inventory():
 
 def test_readme_inventory_matches_signatures():
     rows = _readme_inventory()
-    ops = {**OPS, **cli._TEXT_OPS}
-    for kind, op in ops.items():
+    for kind, op in OPS.items():
         assert kind in rows, f"README inventory has no row for {kind}"
-        # the parameters after the clip or transcript, less the inputs
+        # the parameters after the clip, less the transcript input
         params = [
-            name for name in list(inspect.signature(op).parameters)[1:]
-            if name not in ("transcript", "lexicon")
+            name for name in list(inspect.signature(op).parameters)[1:] if name != "transcript"
         ]
         assert rows[kind] == params, f"README row for {kind} lists {rows[kind]}"
-    assert set(rows) == set(ops)
+    assert set(rows) == set(OPS)
 
 
 def _write_campaign(tmp_path, categories=("insult", "porn"), toxic_fixture=True):
@@ -514,15 +489,22 @@ class TestCampaign:
                 lambda m, d: m["seeds"][0].update(path=5), "'path'", id="non-string-path"
             ),
             pytest.param(lambda m, d: m["seeds"][0].update(id=None), "'id'", id="null-id"),
+            pytest.param(lambda m, d: m.pop("version"), "'version'", id="no-version"),
+            pytest.param(lambda m, d: m.update(version=1), "'version'", id="int-version"),
+            pytest.param(
+                lambda m, d: m.update(version="0.0.9"), f"0.0.9, which this version {__version__}",
+                id="other-version",
+            ),
         ],
     )
     def test_replay_of_malformed_manifest_is_config_error(self, capsys, tmp_path, edit, named):
         manifest_path = self._edited_manifest(capsys, tmp_path, edit)
-        code, _, err = run_cli(
+        code, stdout, err = run_cli(
             capsys, "campaign", str(tmp_path / "replayed"), "--replay", str(manifest_path)
         )
         assert code == 1
-        assert "config error:" in err and named in err
+        assert stdout == "" and "config error:" in err and named in err
+        assert not (tmp_path / "replayed").exists()
 
     def test_replay_of_non_object_relation_is_config_error(self, capsys, tmp_path):
         manifest_path = self._edited_manifest(
@@ -627,45 +609,6 @@ class TestDesk:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["campaign.json"]
 
 
-class TestKeywords:
-    def test_ranked_output(self, capsys, tmp_path):
-        corpus = tmp_path / "corpus.txt"
-        corpus.write_text("red dog\nred cat\n", encoding="utf-8")
-        code, stdout, _ = run_cli(capsys, "keywords", str(corpus), "-k", "2")
-        assert code == 0
-        lines = stdout.strip().splitlines()
-        assert len(lines) == 2
-        token, score = lines[0].split("\t")
-        # cat and dog tie on score; ties break alphabetically
-        assert token == "cat"
-        assert float(score) > 0
-
-    def test_k_larger_than_vocabulary(self, capsys, tmp_path):
-        corpus = tmp_path / "corpus.txt"
-        corpus.write_text("red dog\n", encoding="utf-8")
-        code, stdout, _ = run_cli(capsys, "keywords", str(corpus), "-k", "50")
-        assert code == 0
-        assert len(stdout.strip().splitlines()) == 2
-
-    def test_empty_corpus(self, capsys, tmp_path):
-        corpus = tmp_path / "corpus.txt"
-        corpus.write_text("", encoding="utf-8")
-        code, _, _ = run_cli(capsys, "keywords", str(corpus), "-k", "3")
-        assert code == 1
-
-    def test_stopwords_respected(self, capsys, tmp_path):
-        corpus = tmp_path / "corpus.txt"
-        corpus.write_text("the dog\nthe cat\n", encoding="utf-8")
-        stops = tmp_path / "stop.txt"
-        stops.write_text("the\n", encoding="utf-8")
-        code, stdout, _ = run_cli(
-            capsys, "keywords", str(corpus), "-k", "10", "--stopwords", str(stops)
-        )
-        assert code == 0
-        tokens = [line.split("\t")[0] for line in stdout.strip().splitlines()]
-        assert "the" not in tokens
-
-
 class TestCalibrate:
     def test_threshold_json(self, capsys, tmp_path):
         templates = tmp_path / "templates"
@@ -695,35 +638,3 @@ class TestCalibrate:
             capsys, "calibrate", "--templates", str(templates), "--clips", str(manifest)
         )
         assert code == 1
-
-
-class TestReport:
-    def test_renders_tsv(self, capsys, tmp_path):
-        config = _write_campaign(tmp_path)
-        assert run_cli(capsys, "campaign", str(config))[0] == 0
-        code, stdout, err = run_cli(
-            capsys, "report", str(tmp_path / "out" / "report.json")
-        )
-        assert code == 0
-        lines = stdout.strip().splitlines()
-        assert lines[0].split("\t") == [
-            "mr", "category", "backend", "generated",
-            "misclassified", "unanswered", "efr",
-        ]
-        assert len(lines) == 3  # header + two cells
-        assert __version__ in err
-        # the same columns and rows as report.csv
-        with open(tmp_path / "out" / "report.csv", newline="") as fh:
-            assert [line.split("\t") for line in lines] == list(csv.reader(fh))
-
-    def test_missing_report(self, capsys, tmp_path):
-        code, _, _ = run_cli(capsys, "report", str(tmp_path / "nope.json"))
-        assert code == 2
-
-    @pytest.mark.parametrize("payload", [[1], {"version": "x", "cases": []}, {"cells": [1]}])
-    def test_malformed_report_is_config_error(self, capsys, tmp_path, payload):
-        path = tmp_path / "r.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        code, stdout, err = run_cli(capsys, "report", str(path))
-        assert code == 1
-        assert stdout == "" and "config error:" in err and "'cells'" in err
