@@ -1,3 +1,3 @@
 """Metamorphic testing toolkit for audio content moderation."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -14,7 +14,8 @@ each job's new digests in one ``moderate_many`` call; the probe, the tally
 and the manifest read its answers once the jobs that asked have joined.
 Artifacts are content-addressed 16-bit WAVs next to a JSON manifest, so a
 finished campaign can be replayed offline against fixture backends and must
-reproduce its report byte for byte.
+reproduce its report byte for byte; a replay whose regenerated cases differ
+from the recorded ones stops before it writes a report.
 
 A seed's job runs in a pool thread, which holds the seed's clips until the
 backends have answered. When no backend reads the clip (``reads_audio``),
@@ -574,6 +575,17 @@ def report_row(cell: Mapping) -> list:
     return [*(cell[column] for column in REPORT_COLUMNS[:-1]), "" if efr is None else repr(efr)]
 
 
+def _case_json(case: TestCase) -> dict:
+    """A case as the manifest records it."""
+    return {
+        "seed_id": case.seed_id,
+        "mr": case.mr.describe(),
+        "digest": case.digest,
+        "artifact": case.artifact,
+        "category": case.category.value,
+    }
+
+
 def _emit(
     config: CampaignConfig,
     seeds: Sequence[LoadedSeed],
@@ -582,12 +594,12 @@ def _emit(
     filter_report: Dict,
     verdicts: VerdictStore,
 ) -> CampaignReport:
-    """Stage 5: write manifest.json, report.json and report.csv. Seed and
-    transcript paths are recorded relative to the output directory, so a
-    moved campaign tree still replays."""
+    """Stage 5: write manifest.json, report.json and report.csv, the cases
+    in ``_query_stages``' order. Seed and transcript paths are recorded
+    relative to the output directory, so a moved campaign tree still
+    replays."""
     out_dir = config.output_dir
     manifest_path = out_dir / "manifest.json"
-    cases = sorted(cases, key=lambda c: (c.seed_id, c.mr.label))
     manifest = {
         "version": __version__,
         "seeds": [
@@ -606,16 +618,7 @@ def _emit(
         "backends": [b.name for b in verdicts.backends],
         # every queried pair, null when unanswered, so replay re-runs the filter
         "verdicts": verdicts.as_json(),
-        "cases": [
-            {
-                "seed_id": c.seed_id,
-                "mr": c.mr.describe(),
-                "digest": c.digest,
-                "artifact": c.artifact,
-                "category": c.category.value,
-            }
-            for c in cases
-        ],
+        "cases": [_case_json(c) for c in cases],
         "workers": config.workers,
     }
     write_json(manifest, manifest_path)
@@ -665,13 +668,22 @@ def run_campaign(
     directly (replay, tests); otherwise they are built from the config."""
     if backends is None:
         backends = [build_backend(cfg) for cfg in config.backend_configs]
+    seeds, cases, filter_report, verdicts = _query_stages(config, backends)
+    return _emit(config, seeds, cases, _tally(cases, verdicts), filter_report, verdicts)
+
+
+def _query_stages(
+    config: CampaignConfig, backends: Sequence[ModerationBackend]
+) -> Tuple[List[LoadedSeed], List[TestCase], Dict, VerdictStore]:
+    """Stages 1 to 3: load, probe, generate+query. Returns the seeds, the
+    cases ordered by seed and relation label, the seed filter's report and
+    the verdicts."""
     verdicts = VerdictStore(backends)
     seeds = _load_seeds(config)
     (config.output_dir / "artifacts").mkdir(parents=True, exist_ok=True)
     retained, filter_report = filter_seeds(seeds, verdicts, config.workers)
-    cases = _run_cases(retained, verdicts, config)
-    cells = _tally(cases, verdicts)
-    return _emit(config, seeds, cases, cells, filter_report, verdicts)
+    cases = sorted(_run_cases(retained, verdicts, config), key=lambda c: (c.seed_id, c.mr.label))
+    return seeds, cases, filter_report, verdicts
 
 
 def _read_manifest(path, keys: Sequence[str]) -> dict:
@@ -693,9 +705,10 @@ def replay_campaign(manifest_path, output_dir, workers: int = DEFAULT_WORKERS) -
     from the manifest's directory), artifacts are regenerated from the
     recorded relation descriptors, and every query is answered by a fixture
     backend loaded from the backend's recorded verdict table. The resulting
-    report must be byte-identical to the original; regenerated cases that
-    differ from the recorded ones are a CampaignError. A manifest another
-    version wrote is a ConfigError, before any seed is read."""
+    report must be byte-identical to the original. Regenerated cases that
+    differ from the recorded ones are a CampaignError raised before any
+    report or manifest is written. A manifest another version wrote is a
+    ConfigError, before any seed is read."""
     manifest_path = Path(manifest_path)
     manifest = _read_manifest(
         manifest_path, ("version", "seeds", "mrs", "backends", "verdicts", "cases")
@@ -723,13 +736,37 @@ def replay_campaign(manifest_path, output_dir, workers: int = DEFAULT_WORKERS) -
         output_dir=output_dir,
         workers=workers,
     )
-    report = run_campaign(config, backends=backends)
-    if _read_manifest(report.manifest, ("cases",))["cases"] != manifest["cases"]:
+    seeds, cases, filter_report, verdicts = _query_stages(config, backends)
+    _check_replayed(manifest_path, manifest, cases, config.output_dir)
+    return _emit(config, seeds, cases, _tally(cases, verdicts), filter_report, verdicts)
+
+
+def _check_replayed(
+    manifest_path: Path, manifest: Mapping, cases: Sequence[TestCase], output_dir: Path
+) -> None:
+    """A replay's cases must be the recorded ones. The first case, in
+    manifest order, whose digest a recorded verdict table lacks or which
+    differs from the recorded case in its place is a CampaignError naming
+    its seed and relation; so is a different number of cases."""
+    tables = [manifest["verdicts"][name] for name in manifest["backends"]]
+    recorded = manifest["cases"]
+    for i, case in enumerate(cases):
+        if not all(case.digest in table for table in tables):
+            why = f"gives digest {case.digest}, which the recorded verdict tables do not hold"
+        elif i >= len(recorded) or _case_json(case) != recorded[i]:
+            why = "gives a case the manifest does not record in its place"
+        else:
+            continue
         raise CampaignError(
-            f"replay of {manifest_path} diverged: its relations or seed audio no longer "
-            f"give the recorded cases (regenerated ones are in {report.manifest})"
+            f"replay of {manifest_path} diverged: seed {case.seed_id!r} under {case.mr.label} "
+            f"{why} (regenerated clip: {output_dir / case.artifact}); its relations or seed "
+            "audio no longer give the recorded cases"
         )
-    return report
+    if len(cases) != len(recorded):
+        raise CampaignError(
+            f"replay of {manifest_path} diverged: it gives {len(cases)} cases where "
+            f"{len(recorded)} are recorded"
+        )
 
 
 def export_retraining_set(

@@ -518,8 +518,30 @@ class TestReplay:
         assert replayed.report_json.read_bytes() == (tmp_path / original.report_json).read_bytes()
         assert replayed.report_csv.read_bytes() == (tmp_path / original.report_csv).read_bytes()
 
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda cases: cases[1].update(category="porn"), "seed 's0' under gain(db=6.0) gives a case"),
+            (lambda cases: cases.pop(), "seed 's1' under gain(db=6.0) gives a case"),
+            (lambda cases: cases.append(dict(cases[0])), "it gives 4 cases where 5 are recorded"),
+        ],
+        ids=["edited-case", "case-dropped", "case-added"],
+    )
+    def test_cases_unlike_the_recorded_ones_diverge_before_any_report(self, tmp_path, edit, named):
+        # every digest is in the verdict table, but the case list differs
+        config, specs, buffers = _campaign_fixture(tmp_path, n_seeds=2)
+        script = {content_digest(buffers[s.seed_id]): s.category for s in specs}
+        original = run_campaign(config, backends=[ScriptedBackend("b", script)])
+        manifest = json.loads(original.manifest.read_text(encoding="utf-8"))
+        edit(manifest["cases"])
+        original.manifest.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(CampaignError, match="diverged") as err:
+            replay_campaign(original.manifest, tmp_path / "replay")
+        assert named in str(err.value)
+        assert sorted(p.name for p in (tmp_path / "replay").iterdir()) == ["artifacts"]
 
-_ALIGNED = "son\t0.0\t0.2\nof\t0.2\t0.3\nbitch\t0.3\t0.45\n"
+
+_ALIGNED ="son\t0.0\t0.2\nof\t0.2\t0.3\nbitch\t0.3\t0.45\n"
 
 
 def _transcribed_tree(root, transcripts=(("a", _ALIGNED), ("b", _ALIGNED))):

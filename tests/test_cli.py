@@ -44,6 +44,12 @@ class TestTopLevel:
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
 
+    def test_package_and_project_versions_agree(self):
+        # a manifest records __version__, while pip installs the project's
+        pyproject = Path(__file__).parents[1] / "pyproject.toml"
+        found = re.findall(r'^version = "([^"]*)"$', pyproject.read_text(encoding="utf-8"), re.M)
+        assert found == [__version__]
+
     def test_unknown_subcommand(self, capsys):
         code, _, err = run_cli(capsys, "transmogrify")
         assert code == 1
@@ -221,6 +227,40 @@ class TestPerturb:
         assert code == 1
         assert stdout == "" and "gain does not take --transcript" in err
         assert not (tmp_path / "o.out").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, code, message",
+    [
+        (
+            lambda m: m["mrs"][0]["params"].update(db=0.5),
+            2,
+            "diverged: seed 'insult_0' under gain(db=0.5) gives digest ",
+        ),
+        (
+            lambda m: m.update(version="0.1.0"),
+            1,
+            f"written by audiomorph 0.1.0, which this version {__version__} cannot replay",
+        ),
+    ],
+    ids=["edited-relation", "older-version"],
+)
+def test_desk_manifest_that_cannot_replay_writes_no_report(capsys, tmp_path, edit, code, message):
+    """The checked-in desk manifest, edited so it cannot replay, fails with
+    the reason and leaves no report or manifest behind."""
+    deskcorpus.build_corpus(tmp_path, base_seed=100)
+    recorded = Path(__file__).parent / "data" / "desk_replay" / "manifest.json"
+    manifest = json.loads(recorded.read_text(encoding="utf-8"))
+    assert manifest["mrs"][0] == {"kind": "gain", "params": {"db": 0.0}}
+    edit(manifest)
+    (tmp_path / "out").mkdir()
+    path = tmp_path / "out" / "manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    got, stdout, err = run_cli(capsys, "campaign", str(tmp_path / "replay"), "--replay", str(path))
+    assert (got, stdout) == (code, "")
+    assert message in err
+    for name in ("report.json", "report.csv", "manifest.json"):
+        assert not (tmp_path / "replay" / name).exists()
 
 
 def test_manifest_cases_reproduce_through_perturb(capsys, tmp_path):
@@ -539,6 +579,7 @@ class TestCampaign:
         )
         assert code == 2
         assert "diverged" in err
+        assert not any((tmp_path / "replayed" / name).exists() for name in ("report.json", "report.csv"))
 
     def test_export_split(self, capsys, tmp_path):
         config = _write_campaign(tmp_path, categories=("spam", "spam", "spam"))

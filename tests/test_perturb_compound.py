@@ -1,5 +1,6 @@
 """Compound perturbations: contract examples plus spectral/energy oracles."""
 
+import json
 import math
 from unittest import mock
 
@@ -8,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from audiomorph.audio import AudioBuffer
+from audiomorph.audio import AudioBuffer, quantize_int16, write_wav
+from audiomorph.backends import Category, ModerationBackend, Verdict
+from audiomorph.campaign import CampaignConfig, replay_campaign, run_campaign
+from audiomorph.deskcorpus import synth_seeds
 from audiomorph.errors import ParameterError
 from audiomorph.perturb import compound
 from .conftest import envelope_period_s, sine
@@ -357,8 +361,11 @@ class TestReverbCache:
         assert a.samples.tobytes() != b.samples.tobytes()
 
 
-# The recurrences as they were before they ran on blocked Python floats:
-# numpy-scalar loops, kept verbatim as the bit-identical references.
+# The recurrences as sample-by-sample numpy-scalar loops, kept as references.
+# The gain ballistics run on blocked Python floats in the same order, so
+# they match their loop bit for bit. The level detector and the low-pass run
+# as a log-step scan, whose sums group differently: they match their loops
+# within 1e-12 of the input's peak and give the same 16-bit samples.
 
 
 def loop_one_pole(values: np.ndarray, coeff: float) -> np.ndarray:
@@ -397,7 +404,7 @@ def loop_one_pole_lowpass(samples: np.ndarray, cutoff_hz: float, rate: int) -> n
 
 def _loop_references():
     """Patch the loop references in, so compress and bass_boost compute the
-    old outputs."""
+    outputs of the sample-by-sample loops."""
     return mock.patch.multiple(
         compound,
         _one_pole=loop_one_pole,
@@ -406,9 +413,24 @@ def _loop_references():
     )
 
 
-# block sizes: every sample its own block, a small odd block, the default
+def assert_scan_matches(got: np.ndarray, want: np.ndarray, inputs: np.ndarray) -> None:
+    """``got`` differs from ``want`` by at most 1e-12 of the peak of
+    ``inputs``, and both give the same 16-bit samples. A scan's rounding
+    error scales with the input's peak, not with each output, which can
+    cancel to near zero; below the smallest normal float, where float64
+    steps are absolute, any difference passes."""
+    peak = float(np.max(np.abs(inputs), initial=0.0))
+    atol = max(1e-12 * peak, np.finfo(np.float64).tiny)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
+    assert np.array_equal(quantize_int16(got), quantize_int16(want))
+
+
+# block sizes of the gain ballistics: every sample its own block, a small
+# odd block, the default
 _BLOCKS = [1, 3, compound._BLOCK]
 _COEFFS = [0.0, 0.5, math.exp(-1.0 / 160.0), math.exp(-1.0 / 441.0), 1.0 - 1e-9]
+# peak scales of the drawn signals: all zero, subnormal, quiet, loud
+_SCALES = [0.0, 1e-310, 1e-6, 0.1, 1.0]
 
 
 @st.composite
@@ -419,10 +441,18 @@ def _lengths(draw, block):
 
 
 @st.composite
-def _signal(draw, block, channels=1):
-    n = draw(_lengths(block))
+def _scan_lengths(draw):
+    # biased to lengths at and next to the powers of two where a scan pass
+    # starts to reach the first sample
+    edge = 2 ** draw(st.integers(0, 13)) + draw(st.integers(-1, 1))
+    return draw(st.sampled_from([max(1, edge), draw(st.integers(1, 3 * compound._BLOCK))]))
+
+
+@st.composite
+def _signal(draw, channels=1):
+    n = draw(_scan_lengths())
     seed = draw(st.integers(0, 2**32 - 1))
-    scale = draw(st.sampled_from([1e-6, 0.1, 1.0]))
+    scale = draw(st.sampled_from(_SCALES))
     rng = np.random.default_rng(seed)
     return np.clip(rng.standard_normal((channels, n)) * scale, -1.0, 1.0)
 
@@ -455,15 +485,12 @@ def _gain_runs(draw, block):
 
 
 class TestRecurrencesMatchLoops:
-    @pytest.mark.parametrize("block", _BLOCKS)
     @given(data=st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_one_pole(self, block, data):
-        values = data.draw(_signal(block))[0]
+    @settings(max_examples=75, deadline=None)
+    def test_one_pole(self, data):
+        values = data.draw(_signal())[0]
         coeff = data.draw(st.one_of(st.sampled_from(_COEFFS), st.floats(0.0, 1.0)))
-        with mock.patch.object(compound, "_BLOCK", block):
-            got = compound._one_pole(values, coeff)
-        assert got.tobytes() == loop_one_pole(values, coeff).tobytes()
+        assert_scan_matches(compound._one_pole(values, coeff), loop_one_pole(values, coeff), values)
 
     @pytest.mark.parametrize("block", _BLOCKS)
     @given(data=st.data())
@@ -495,16 +522,40 @@ class TestRecurrencesMatchLoops:
         assert want[-1] == 0.0
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("block", _BLOCKS)
     @given(data=st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_one_pole_lowpass(self, block, data):
-        samples = data.draw(_signal(block, channels=data.draw(st.integers(1, 2))))
+    @settings(max_examples=75, deadline=None)
+    def test_one_pole_lowpass(self, data):
+        samples = data.draw(_signal(channels=data.draw(st.integers(1, 2))))
         cutoff = data.draw(st.floats(20.0, 400.0))
         rate = data.draw(st.sampled_from([8000, 16000, 44100]))
-        with mock.patch.object(compound, "_BLOCK", block):
-            got = compound._one_pole_lowpass(samples, cutoff, rate)
-        assert got.tobytes() == loop_one_pole_lowpass(samples, cutoff, rate).tobytes()
+        assert_scan_matches(
+            compound._one_pole_lowpass(samples, cutoff, rate),
+            loop_one_pole_lowpass(samples, cutoff, rate),
+            samples,
+        )
+
+    @pytest.mark.parametrize("frames", [1, 2, 4097])
+    @pytest.mark.parametrize("scale", [0.0, 1e-310, 1.0], ids=["zeros", "subnormal", "full-scale"])
+    @pytest.mark.parametrize("coeff", [0.0, 1.0 - 1e-9], ids=["memoryless", "near-one"])
+    def test_one_pole_edges(self, frames, scale, coeff):
+        values = np.clip(np.random.default_rng(frames).standard_normal(frames) * scale, -1.0, 1.0)
+        assert_scan_matches(compound._one_pole(values, coeff), loop_one_pole(values, coeff), values)
+
+    # (cutoff_hz, rate): at 1 Hz a 400 Hz cutoff gives beta 1, so the
+    # feedback 1 - beta is 0; at this rate a 20 Hz cutoff gives 1 - 1e-9
+    @pytest.mark.parametrize("frames", [1, 2, 4097])
+    @pytest.mark.parametrize("scale", [0.0, 1e-310, 1.0], ids=["zeros", "subnormal", "full-scale"])
+    @pytest.mark.parametrize(
+        "cutoff, rate", [(400.0, 1), (20.0, 125_663_706_144)], ids=["memoryless", "near-one"]
+    )
+    def test_one_pole_lowpass_edges_stereo(self, frames, scale, cutoff, rate):
+        rng = np.random.default_rng(frames)
+        samples = np.clip(rng.standard_normal((2, frames)) * scale, -1.0, 1.0)
+        assert_scan_matches(
+            compound._one_pole_lowpass(samples, cutoff, rate),
+            loop_one_pole_lowpass(samples, cutoff, rate),
+            samples,
+        )
 
 
 def _syllabic(channels, duration_s, seed):
@@ -527,7 +578,7 @@ class TestEffectsMatchLoops:
         with _loop_references():
             want = compound.compress(buf, threshold_db, ratio)
         got = compound.compress(buf, threshold_db, ratio)
-        assert got.samples.tobytes() == want.samples.tobytes()
+        assert_scan_matches(got.samples, want.samples, buf.samples)
 
     @pytest.mark.parametrize("channels", [1, 2])
     @pytest.mark.parametrize("cutoff_hz, gain_db", [(150.0, 6.0), (20.0, -40.0), (400.0, 40.0)])
@@ -536,7 +587,7 @@ class TestEffectsMatchLoops:
         with _loop_references():
             want = compound.bass_boost(buf, cutoff_hz, gain_db)
         got = compound.bass_boost(buf, cutoff_hz, gain_db)
-        assert got.samples.tobytes() == want.samples.tobytes()
+        assert_scan_matches(got.samples, want.samples, buf.samples)
 
     @pytest.mark.parametrize("block", [1, 3])
     @given(data=st.data())
@@ -552,4 +603,54 @@ class TestEffectsMatchLoops:
         with mock.patch.object(compound, "_BLOCK", block):
             got = (compound.compress(buf, -20.0, 4.0), compound.bass_boost(buf, 150.0, 6.0))
         for g, w in zip(got, want):
-            assert g.samples.tobytes() == w.samples.tobytes()
+            assert_scan_matches(g.samples, w.samples, buf.samples)
+
+
+class _AnswersInsult(ModerationBackend):
+    """Calls every clip an insult, from its digest alone."""
+
+    name = "insult"
+    reads_audio = False
+
+    def moderate(self, audio, digest):
+        return Verdict(Category.INSULT, 0.5)
+
+
+def test_campaign_recorded_with_loops_replays_with_scans(tmp_path):
+    """A campaign recorded with the loop references patched in, on three
+    six-second desk seeds (one stereo) under compress and bass_boost,
+    replays with the scans: every recorded digest is regenerated, and the
+    reports are the recorded bytes, on pool threads and in worker
+    processes."""
+    clips = [clip.channel(0) for _, _, clip in synth_seeds(100)]
+    joined = [np.concatenate([clips[(5 * i + j) % len(clips)] for j in range(6)]) for i in range(3)]
+    seeds = []
+    for i, samples in enumerate([joined[0], joined[1], np.stack(joined[1:])]):
+        write_wav(AudioBuffer(samples, RATE), tmp_path / f"long_{i}.wav")
+        seeds.append({"id": f"long_{i}", "path": f"long_{i}.wav", "category": "insult"})
+    config = CampaignConfig.from_dict(
+        {
+            "seeds": seeds,
+            "mrs": [
+                {"kind": "compress", "params": {"threshold_db": -20.0, "ratio": 4.0}},
+                {"kind": "compress", "params": {"threshold_db": -40.0, "ratio": 1.0}},
+                {"kind": "compress", "params": {"threshold_db": -6.0, "ratio": 20.0}},
+                {"kind": "bass_boost", "params": {"cutoff_hz": 150.0, "gain_db": 6.0}},
+                {"kind": "bass_boost", "params": {"cutoff_hz": 20.0, "gain_db": -40.0}},
+                {"kind": "bass_boost", "params": {"cutoff_hz": 400.0, "gain_db": 40.0}},
+            ],
+            "backends": [{"kind": "fixture", "name": "insult", "path": "unused"}],
+            "output_dir": "recorded",
+            "workers": 1,
+        },
+        base_dir=tmp_path,
+    )
+    with _loop_references():
+        recorded = run_campaign(config, backends=[_AnswersInsult()])
+    cases = json.loads(recorded.manifest.read_text(encoding="utf-8"))["cases"]
+    assert len({case["digest"] for case in cases}) == len(cases) == 18
+    for workers in (1, 4):
+        replayed = replay_campaign(recorded.manifest, tmp_path / f"replay{workers}", workers=workers)
+        assert json.loads(replayed.manifest.read_text(encoding="utf-8"))["cases"] == cases
+        for name in ("report.json", "report.csv"):
+            assert (replayed.output_dir / name).read_bytes() == (recorded.output_dir / name).read_bytes()
