@@ -68,14 +68,10 @@ class ModerationBackend:
     order, None for a clip left unanswered; a campaign asks each backend
     once per job this way. The default calls ``moderate`` per clip, so a
     typed backend error leaves only that clip unanswered; a backend that
-    can answer many clips at once (the keyword spotter) overrides it.
-
-    ``reads_audio`` is False for a backend that answers from the digest
-    alone; a campaign may then pass None for the clip, and when no backend
-    reads audio it generates its cases in worker processes at workers > 1."""
+    can answer many clips at once (the keyword spotter) overrides it. A
+    campaign always hands a backend the clip; a replay asks no backend."""
 
     name: str = "backend"
-    reads_audio: bool = True
 
     def moderate(self, audio: AudioBuffer, digest: str) -> Verdict:
         raise NotImplementedError

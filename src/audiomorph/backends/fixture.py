@@ -1,7 +1,8 @@
-"""Replay backend: verdicts recorded as a verdict table, a JSON map keyed by
+"""Fixture backend: verdicts recorded as a verdict table, a JSON map keyed by
 the content digest of the canonical PCM bytes. A fixture file holds one
-table, and a campaign manifest one per backend. Bit-deterministic across
-runs and platforms; powers campaign replay and hermetic tests.
+table, and a campaign manifest one per backend, which replay answers from.
+Bit-deterministic across runs and platforms; serves `kind: "fixture"`
+configs and hermetic tests.
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ def verdicts_to_json(verdicts: Mapping[str, Optional[Verdict]]) -> Dict[str, Opt
 
 
 class FixtureBackend(ModerationBackend):
-    reads_audio = False  # the verdict table is keyed by digest
-
     def __init__(self, verdicts: Mapping[str, Optional[Verdict]], name: str = "fixture"):
         self.name = name
         self._verdicts: Dict[str, Optional[Verdict]] = dict(verdicts)
@@ -58,7 +57,7 @@ class FixtureBackend(ModerationBackend):
         payload = read_json_object(path, "fixture file")
         return cls(verdicts_from_json(payload, f"fixture file {path}"), name=name)
 
-    def moderate(self, audio: Optional[AudioBuffer], digest: str) -> Verdict:
+    def moderate(self, audio: AudioBuffer, digest: str) -> Verdict:
         verdict = self._verdicts.get(digest)
         if verdict is None:
             what = "recorded no answer" if digest in self._verdicts else "has no fixture"

@@ -13,17 +13,17 @@ manifest, report.json, report.csv). Every query goes through one
 each job's new digests in one ``moderate_many`` call; the probe, the tally
 and the manifest read its answers once the jobs that asked have joined.
 Artifacts are content-addressed 16-bit WAVs next to a JSON manifest, so a
-finished campaign can be replayed offline against fixture backends and must
-reproduce its report byte for byte; a replay whose regenerated cases differ
+finished campaign can be replayed offline and must reproduce its report
+byte for byte. A replay asks no backend: its store starts out holding the
+manifest's verdict tables. A replay whose seeds or regenerated cases differ
 from the recorded ones stops before it writes a report.
 
-A seed's job runs in a pool thread, which holds the seed's clips until the
-backends have answered. When no backend reads the clip (``reads_audio``),
-as in every replay, and there are several workers, the same jobs run in
-forked worker processes instead (on Linux), which return only the cases,
-and the campaign asks about each digest in job order: perturbation holds
-the GIL, and a clip sent back across the process boundary would cost more
-than the extra process saves. The pool has at most one worker per job. Each
+A live campaign runs each seed's job in a pool thread, which hands the
+backends the seed's clips and holds them until they have answered. A
+replay at several workers runs the same jobs in forked worker processes
+instead (on Linux), which return only the cases: perturbation holds the
+GIL, and a clip sent back across the process boundary would cost more than
+the extra process saves. The pool has at most one worker per job. Each
 worker keeps the heap its jobs free (glibc's ``mallopt``; a no-op with
 another C library), where trimming it would make the next job fault the
 same pages in again. The workers exit with the pool, so that heap does
@@ -42,14 +42,14 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
 from .audio import AudioBuffer, content_digest, read_wav, write_wav
 from .backends import Category, ModerationBackend, Verdict, build_backend
-from .backends.fixture import FixtureBackend, verdicts_from_json, verdicts_to_json
+from .backends.fixture import verdicts_from_json, verdicts_to_json
 from .errors import (
     CampaignError,
     ConfigError,
@@ -188,7 +188,7 @@ class CampaignConfig:
         for name in ("mrs", "backends"):
             if not isinstance(d[name], list):
                 raise ConfigError(f"{name!r} must be a list", field=name)
-        # replay passes backend objects instead, so only a config file must list some
+        # a replay's config has none, so only a config file must list some
         if not d["backends"]:
             raise ConfigError("config needs a nonempty 'backends' list", field="backends")
         backends = []
@@ -252,15 +252,7 @@ class Cell:
         return compute_efr(self.misclassified, self.answered)
 
     def as_json(self) -> dict:
-        return {
-            "mr": self.mr,
-            "category": self.category,
-            "backend": self.backend,
-            "generated": self.generated,
-            "misclassified": self.misclassified,
-            "unanswered": self.unanswered,
-            "efr": self.efr,
-        }
+        return {column: getattr(self, column) for column in REPORT_COLUMNS}
 
 
 @dataclass(frozen=True)
@@ -286,32 +278,40 @@ def load_seed(spec: SeedSpec) -> LoadedSeed:
 
 
 class VerdictStore:
-    """The verdicts of one campaign, keyed by (backend name, digest); None
-    marks a pair the backend left unanswered. A job claims each pair under
-    a lock before it asks, so each pair is queried at most once, also when
-    concurrent jobs produce the same digest, and the seed filter, the tally
-    and the manifest all see one answer per pair. They read the answers
-    once the jobs that asked have joined, when every claimed pair holds
-    one."""
+    """The verdicts of one campaign: a verdict table per backend name, in
+    which None marks a pair the backend left unanswered. A job claims each
+    pair under a lock before it asks, by entering it unanswered, so each
+    pair is queried at most once, also when concurrent jobs produce the same
+    digest, and the seed filter, the tally and the manifest all see one
+    answer per pair. They read the answers once the jobs that asked have
+    joined, when every claimed pair holds one. A live campaign's store asks
+    its ``backends``; a replay's starts out holding the ``recorded``
+    (backend name, verdict table) pairs and has no backend to ask."""
 
-    def __init__(self, backends: Sequence[ModerationBackend]):
-        if len({b.name for b in backends}) != len(backends):
-            raise ConfigError("backend names must be unique", field="backends")
+    def __init__(
+        self,
+        backends: Sequence[ModerationBackend] = (),
+        recorded: Sequence[Tuple[str, Mapping[str, Optional[Verdict]]]] = (),
+    ):
         self.backends = tuple(backends)
+        self._tables: Dict[str, Dict[str, Optional[Verdict]]] = {b.name: {} for b in backends}
+        self._tables.update((name, dict(table)) for name, table in recorded)
+        if len(self._tables) != len(self.backends) + len(recorded):
+            raise ConfigError("backend names must be unique", field="backends")
+        self.names = tuple(self._tables)
         self._lock = threading.Lock()
-        self._claimed: Set[Tuple[str, str]] = set()
-        self._answers: Dict[Tuple[str, str], Optional[Verdict]] = {}
 
-    def ask_many(self, clips: Sequence[Optional[AudioBuffer]], digests: Sequence[str]) -> None:
+    def ask_many(self, clips: Sequence[AudioBuffer], digests: Sequence[str]) -> None:
         """Ask each backend once, through ``moderate_many``, about the
-        digests no job has claimed yet, and store its answers; a clip is
-        None only when no backend reads it."""
+        digests no job has claimed yet, and store its answers; a replay's
+        store asks nothing."""
         for backend in self.backends:
-            claimed: Dict[str, Optional[AudioBuffer]] = {}  # digest -> clip
+            table = self._tables[backend.name]
+            claimed: Dict[str, AudioBuffer] = {}  # digest -> clip
             with self._lock:
                 for clip, digest in zip(clips, digests):
-                    if (backend.name, digest) not in self._claimed:
-                        self._claimed.add((backend.name, digest))
+                    if digest not in table:
+                        table[digest] = None  # claimed; its answer is stored below
                         claimed[digest] = clip
             if not claimed:
                 continue
@@ -321,17 +321,14 @@ class VerdictStore:
                     f"backend {backend.name!r} answered {len(verdicts)} of {len(claimed)} clips"
                 )
             with self._lock:
-                self._answers.update(((backend.name, d), v) for d, v in zip(claimed, verdicts))
+                table.update(zip(claimed, verdicts))
 
     def row(self, digest: str) -> Tuple[Optional[Verdict], ...]:
         """The digest's verdicts, in backend order."""
-        return tuple(self._answers[b.name, digest] for b in self.backends)
+        return tuple(self._tables[name][digest] for name in self.names)
 
     def as_json(self) -> Dict[str, Dict[str, Optional[dict]]]:
-        tables: Dict[str, Dict[str, Optional[Verdict]]] = {b.name: {} for b in self.backends}
-        for (name, digest), verdict in self._answers.items():
-            tables[name][digest] = verdict
-        return {name: verdicts_to_json(table) for name, table in tables.items()}
+        return {name: verdicts_to_json(table) for name, table in self._tables.items()}
 
 
 def _load_seeds(config: CampaignConfig) -> List[LoadedSeed]:
@@ -384,21 +381,20 @@ def filter_seeds(
     campaign's store, so later stages reuse them."""
     if not seeds:
         raise CampaignError("no seeds to filter")
-    if not verdicts.backends:
+    if not verdicts.names:
         raise CampaignError("no backends configured")
     with ThreadPoolExecutor(max_workers=workers) as pool:
         groups = _split(seeds, workers)
         # consumed so that a group's error reaches the caller
         list(pool.map(lambda g: verdicts.ask_many([s.audio for s in g], [s.digest for s in g]), groups))
 
-    names = [b.name for b in verdicts.backends]
     per_backend = {
-        name: {"answered": 0, "flagged_toxic": 0, "matched_declared": 0} for name in names
+        name: {"answered": 0, "flagged_toxic": 0, "matched_declared": 0} for name in verdicts.names
     }
     retained = []
     for seed in seeds:
         row = verdicts.row(seed.digest)
-        for name, verdict in zip(names, row):
+        for name, verdict in zip(verdicts.names, row):
             if verdict is not None:
                 counts = per_backend[name]
                 counts["answered"] += 1
@@ -491,24 +487,23 @@ def _run_cases(
     requests in flight) still run at once. The cases keep job order
     (seed-major), and their verdicts stay in the store.
 
-    A pool thread runs a job and asks each backend once about the job's
-    clips itself. So a job holds one seed's clips, only until every backend
-    that reads audio has answered, and at most about ``_JOB_AUDIO_BYTES`` of
+    In a live campaign a pool thread runs a job and hands each backend the
+    job's clips once itself. So a job holds one seed's clips, only until
+    the backends have answered, and at most about ``_JOB_AUDIO_BYTES`` of
     them: past that it asks about those it holds before it makes the next.
 
-    When no backend reads the clip and workers > 1, forked worker processes
-    run the jobs instead and return their cases, and the backends are asked
-    here, in job order. The pool starts at most one worker per job, since
-    fork starts them all up front, and each worker keeps the heap its jobs
-    free (``_init_worker``). A worker that dies (the out-of-memory killer)
-    is a CampaignError. Fork needs the probe's threads to be joined, as they
-    are, and no native library to run threads of its own: that holds on
-    Linux, while on macOS system libraries such as Accelerate (which numpy
-    may link) can, so elsewhere the jobs stay on threads."""
+    A replay's store has no backend to ask, so at workers > 1 forked worker
+    processes run its jobs instead and return only their cases. The pool
+    starts at most one worker per job, since fork starts them all up front,
+    and each worker keeps the heap its jobs free (``_init_worker``). A
+    worker that dies (the out-of-memory killer) is a CampaignError. Fork
+    needs the probe's threads to be joined, as they are, and no native
+    library to run threads of its own: that holds on Linux, while on macOS
+    system libraries such as Accelerate (which numpy may link) can, so
+    elsewhere the jobs stay on threads."""
     parts = -(-config.workers // max(1, len(seeds)))
     jobs = [(i, mrs) for i in range(len(seeds)) for mrs in _split(config.mrs, parts)]
-    reads_audio = any(b.reads_audio for b in verdicts.backends)
-    if config.workers > 1 and jobs and sys.platform.startswith("linux") and not reads_audio:
+    if not verdicts.backends and config.workers > 1 and jobs and sys.platform.startswith("linux"):
         # imported here: the pool's modules would add about 1 MB to the
         # resident memory of every campaign, also those on threads
         import multiprocessing
@@ -522,24 +517,21 @@ def _run_cases(
                 initializer=_init_worker,
                 initargs=(seeds, config.output_dir),
             ) as pool:
-                cases = [case for cases in pool.map(_generate_in_worker, jobs) for case in cases]
+                return [case for cases in pool.map(_generate_in_worker, jobs) for case in cases]
         except BrokenProcessPool as exc:
             raise CampaignError(
                 f"a worker process died while generating cases (killed, for example "
                 f"by the out-of-memory killer): {exc}"
             ) from exc
-        verdicts.ask_many([None] * len(cases), [c.digest for c in cases])
-        return cases
 
     def run_job(job: Tuple[int, Sequence[Perturbation]]) -> List[TestCase]:
         cases: List[TestCase] = []
-        clips: List[Optional[AudioBuffer]] = []  # those of the cases not yet asked about
+        clips: List[AudioBuffer] = []  # those of the cases not yet asked about
         for mr in job[1]:
             case, perturbed = _generate(seeds[job[0]], mr, config.output_dir)
             cases.append(case)
-            clips.append(perturbed if reads_audio else None)
-            del perturbed  # an unread clip is freed before the next is made
-            held = sum(clip.samples.nbytes for clip in clips if clip is not None)
+            clips.append(perturbed)
+            held = sum(clip.samples.nbytes for clip in clips)
             if len(cases) == len(job[1]) or held > _JOB_AUDIO_BYTES:
                 verdicts.ask_many(clips, [c.digest for c in cases[-len(clips):]])
                 clips = []
@@ -551,10 +543,9 @@ def _run_cases(
 
 def _tally(cases: Sequence[TestCase], verdicts: VerdictStore) -> Tuple[Cell, ...]:
     """Stage 4: count every (case, backend) answer into its cell."""
-    names = [b.name for b in verdicts.backends]
     cells: Dict[Tuple[str, str, str], Cell] = {}
     for case in cases:
-        for name, verdict in zip(names, verdicts.row(case.digest)):
+        for name, verdict in zip(verdicts.names, verdicts.row(case.digest)):
             key = (case.mr.label, case.category.value, name)
             cell = cells.get(key)
             if cell is None:
@@ -595,7 +586,7 @@ def _emit(
     verdicts: VerdictStore,
 ) -> CampaignReport:
     """Stage 5: write manifest.json, report.json and report.csv, the cases
-    in ``_query_stages``' order. Seed and transcript paths are recorded
+    in ``_run_stages``' order. Seed and transcript paths are recorded
     relative to the output directory, so a moved campaign tree still
     replays."""
     out_dir = config.output_dir
@@ -615,7 +606,7 @@ def _emit(
             for s in seeds
         ],
         "mrs": [mr.describe() for mr in config.mrs],
-        "backends": [b.name for b in verdicts.backends],
+        "backends": list(verdicts.names),
         # every queried pair, null when unanswered, so replay re-runs the filter
         "verdicts": verdicts.as_json(),
         "cases": [_case_json(c) for c in cases],
@@ -665,25 +656,28 @@ def run_campaign(
 ) -> CampaignReport:
     """Execute the full protocol and persist artifacts, manifest, and the
     JSON+CSV reports under config.output_dir. Backend objects may be passed
-    directly (replay, tests); otherwise they are built from the config."""
+    directly (tests); otherwise they are built from the config."""
     if backends is None:
         backends = [build_backend(cfg) for cfg in config.backend_configs]
-    seeds, cases, filter_report, verdicts = _query_stages(config, backends)
-    return _emit(config, seeds, cases, _tally(cases, verdicts), filter_report, verdicts)
+    return _run_stages(config, VerdictStore(backends))
 
 
-def _query_stages(
-    config: CampaignConfig, backends: Sequence[ModerationBackend]
-) -> Tuple[List[LoadedSeed], List[TestCase], Dict, VerdictStore]:
-    """Stages 1 to 3: load, probe, generate+query. Returns the seeds, the
-    cases ordered by seed and relation label, the seed filter's report and
-    the verdicts."""
-    verdicts = VerdictStore(backends)
+def _run_stages(
+    config: CampaignConfig, verdicts: VerdictStore, replayed: Optional[Tuple[Path, Mapping]] = None
+) -> CampaignReport:
+    """The five stages; the cases are ordered by seed and relation label. A
+    replay passes its manifest's path and contents as ``replayed``: its
+    seeds are checked before the output directory is made, and its cases
+    before any report is written."""
     seeds = _load_seeds(config)
+    if replayed:
+        _check_seeds(*replayed, seeds)
     (config.output_dir / "artifacts").mkdir(parents=True, exist_ok=True)
     retained, filter_report = filter_seeds(seeds, verdicts, config.workers)
     cases = sorted(_run_cases(retained, verdicts, config), key=lambda c: (c.seed_id, c.mr.label))
-    return seeds, cases, filter_report, verdicts
+    if replayed:
+        _check_replayed(*replayed, cases, config.output_dir)
+    return _emit(config, seeds, cases, _tally(cases, verdicts), filter_report, verdicts)
 
 
 def _read_manifest(path, keys: Sequence[str]) -> dict:
@@ -703,12 +697,13 @@ def _read_manifest(path, keys: Sequence[str]) -> dict:
 def replay_campaign(manifest_path, output_dir, workers: int = DEFAULT_WORKERS) -> CampaignReport:
     """Re-run a recorded campaign offline: seeds are re-read (relative paths
     from the manifest's directory), artifacts are regenerated from the
-    recorded relation descriptors, and every query is answered by a fixture
-    backend loaded from the backend's recorded verdict table. The resulting
-    report must be byte-identical to the original. Regenerated cases that
-    differ from the recorded ones are a CampaignError raised before any
-    report or manifest is written. A manifest another version wrote is a
-    ConfigError, before any seed is read."""
+    recorded relation descriptors, and every query is answered from the
+    manifest's verdict tables, with no backend asked. The resulting report
+    must be byte-identical to the original. A seed whose audio is not the
+    recorded seed's is a CampaignError raised before the output directory
+    is made; regenerated cases that differ from the recorded ones are one
+    raised before any report or manifest is written. A manifest another
+    version wrote is a ConfigError, before any seed is read."""
     manifest_path = Path(manifest_path)
     manifest = _read_manifest(
         manifest_path, ("version", "seeds", "mrs", "backends", "verdicts", "cases")
@@ -720,7 +715,7 @@ def replay_campaign(manifest_path, output_dir, workers: int = DEFAULT_WORKERS) -
             field="version",
         )
     tables = manifest["verdicts"]
-    backends = []
+    recorded = []
     for name in manifest["backends"]:
         if not (isinstance(name, str) and name in tables):
             raise ConfigError(
@@ -728,7 +723,7 @@ def replay_campaign(manifest_path, output_dir, workers: int = DEFAULT_WORKERS) -
                 field="verdicts",
             )
         where = f"manifest {manifest_path} verdicts[{name!r}]"
-        backends.append(FixtureBackend(verdicts_from_json(tables[name], where), name=name))
+        recorded.append((name, verdicts_from_json(tables[name], where)))
     config = CampaignConfig(
         seeds=_read_seeds(manifest["seeds"], manifest_path.parent, (*_SEED_KEYS, "digest")),
         mrs=tuple(Perturbation.from_dict(m) for m in manifest["mrs"]),
@@ -736,9 +731,22 @@ def replay_campaign(manifest_path, output_dir, workers: int = DEFAULT_WORKERS) -
         output_dir=output_dir,
         workers=workers,
     )
-    seeds, cases, filter_report, verdicts = _query_stages(config, backends)
-    _check_replayed(manifest_path, manifest, cases, config.output_dir)
-    return _emit(config, seeds, cases, _tally(cases, verdicts), filter_report, verdicts)
+    return _run_stages(config, VerdictStore(recorded=recorded), (manifest_path, manifest))
+
+
+def _check_seeds(manifest_path: Path, manifest: Mapping, seeds: Sequence[LoadedSeed]) -> None:
+    """A replay's seeds must be the recorded ones. The first seed whose
+    digest differs from the one its manifest entry records, or which a
+    recorded verdict table lacks, is a CampaignError naming it."""
+    tables = [manifest["verdicts"][name] for name in manifest["backends"]]
+    for entry, seed in zip(manifest["seeds"], seeds):
+        recorded = entry.get("digest", seed.digest) == seed.digest
+        if not (recorded and all(seed.digest in table for table in tables)):
+            raise CampaignError(
+                f"replay of {manifest_path} diverged: seed {seed.spec.seed_id!r} has digest "
+                f"{seed.digest}, not the recorded one; its audio ({seed.spec.path}) is no "
+                "longer the recorded seed's"
+            )
 
 
 def _check_replayed(
@@ -806,20 +814,14 @@ def export_retraining_set(
         order = rng.permutation(len(group))
         take = int(round(split * len(group)))
         take = min(take, len(group) // 2)  # test and train must not overlap
-        for rank, idx in enumerate(order):
-            if rank < take:
-                tag = "test"
-            elif rank < 2 * take:
-                tag = "train"
-            else:
-                continue
+        for rank, idx in enumerate(order[: 2 * take]):
             case = group[idx]
             rows.append(
                 {
                     "artifact": case["artifact"],
                     "label": case["category"],
                     "mr": case["mr"],
-                    "split": tag,
+                    "split": "test" if rank < take else "train",
                 }
             )
     rows.sort(key=lambda r: (r["split"], r["label"], json.dumps(r["mr"], sort_keys=True), r["artifact"]))

@@ -45,6 +45,7 @@ from audiomorph.errors import (
     ParameterError,
 )
 from audiomorph.perturb import Perturbation
+from audiomorph.perturb.linguistic import load_transcript
 from .conftest import sine
 
 
@@ -778,21 +779,6 @@ class TestSeedJobs:
         assert [len(batch) for batch in backend.batches] == [1, 2, 2]
         assert sum(cell.generated for cell in report.cells) == 4
 
-    def test_fixture_only_campaign_holds_no_clip(self, tmp_path):
-        config, specs, buffers = _campaign_fixture(tmp_path, n_seeds=2)
-        table = {content_digest(buffers[s.seed_id]): Verdict(s.category) for s in specs}
-        batches = []
-
-        class SeenFixture(FixtureBackend):
-            def moderate_many(self, clips, digests):
-                batches.append(list(clips))
-                return super().moderate_many(clips, digests)
-
-        run_campaign(dataclasses.replace(config, workers=1), backends=[SeenFixture(table, name="f")])
-        probe, *jobs = batches
-        assert len(probe) == 2 and all(isinstance(clip, AudioBuffer) for clip in probe)
-        assert len(jobs) == 2 and all(clip is None for batch in jobs for clip in batch)
-
     def test_overlapping_batches_ask_each_digest_once(self):
         # eight threads claim overlapping batches with frequent switches: a
         # lost claim would ask a digest twice or leave a pair unanswered
@@ -857,20 +843,32 @@ class TestReplayIdentity:
     """Replay identity as a property: whatever the worker counts of the run
     and of its replay, each (backend, digest) pair is asked once and the
     replay leaves the run's bytes, also with a twin seed, colliding
-    relations and a backend whose answers drift on a repeat."""
+    relations, a discontinuity relation over aligned transcripts and a
+    backend whose answers drift on a repeat."""
 
-    @given(run_workers=st.integers(1, 4), replay_workers=st.integers(1, 4))
-    @settings(max_examples=8, deadline=None)
-    def test_replay_identical_at_any_worker_counts(self, run_workers, replay_workers):
+    @given(
+        run_workers=st.integers(1, 4), replay_workers=st.integers(1, 4), stutter=st.booleans()
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_replay_identical_at_any_worker_counts(self, run_workers, replay_workers, stutter):
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             seed, buf = _make_seed(root, "s", 300.0, "insult")
             twin, _ = _make_seed(root, "twin", 300.0, "insult")  # the same digests as s
             other, other_buf = _make_seed(root, "o", 450.0, "porn")
+            seeds = (seed, twin, other)
             # gain 0 dB gives the seed back; the two louder ones share a digest
             mrs = tuple(Perturbation("gain", {"db": db}) for db in (0.0, 6.0, 6.0000000001))
+            if stutter:
+                words = root / "words.tsv"
+                words.write_text(_ALIGNED, encoding="utf-8")
+                seeds = tuple(dataclasses.replace(s, transcript_path=words) for s in seeds)
+                mrs += (Perturbation.from_dict(
+                    {"kind": "discontinuity",
+                     "params": {"targets": ["bitch"], "gap_s": 0.05, "repeats": 2}}
+                ),)
             config = CampaignConfig(
-                seeds=(seed, twin, other),
+                seeds=seeds,
                 mrs=mrs,
                 backend_configs=(),
                 output_dir=root / "out",
@@ -882,12 +880,15 @@ class TestReplayIdentity:
                 content_digest(mrs[1].apply(buf)): Category.INSULT,
                 content_digest(other_buf): Category.PORN,
             }
+            if stutter:  # the stuttered "s" and its twin are caught, "o" is missed
+                stuttered = mrs[3].apply(buf, load_transcript(root / "words.tsv"))
+                script[content_digest(stuttered)] = Category.INSULT
             backend = FlippingBackend("flip", script)
             run = run_campaign(config, backends=[backend])
             recorded = json.loads(run.manifest.read_text(encoding="utf-8"))
             assert sorted(backend.queried) == sorted(set(backend.queried))
             assert set(backend.queried) == set(recorded["verdicts"]["flip"])
-            assert len(recorded["cases"]) == 9
+            assert len(recorded["cases"]) == 3 * len(mrs)
             replay = replay_campaign(run.manifest, root / "replay", workers=replay_workers)
             assert replay.report_json.read_bytes() == run.report_json.read_bytes()
             assert replay.report_csv.read_bytes() == run.report_csv.read_bytes()
@@ -913,8 +914,8 @@ def _unloadable_libc(name):
 
 class TestProcessPath:
     """A replay at workers > 1 generates its cases in forked worker
-    processes, since its fixture backends answer from the digest alone; it
-    must leave the same bytes as the pool threads of workers=1."""
+    processes, since it asks no backend; it must leave the same bytes as
+    the pool threads of workers=1."""
 
     def _compound_tree(self, root):
         """A recorded campaign over compound relations and a discontinuity
@@ -948,6 +949,44 @@ class TestProcessPath:
         assert multiprocessing.active_children() == []
         assert _outputs(processes) == _outputs(threads)
 
+    def test_replay_asks_no_backend(self, tmp_path, monkeypatch):
+        # the checked-in desk campaign replays to its recorded reports while
+        # every way of asking a backend raises
+        manifest = self._desk_tree(tmp_path / "tree")
+
+        def asked(*args, **kwargs):
+            raise AssertionError("a replay asked a backend")
+
+        monkeypatch.setattr(ModerationBackend, "moderate_many", asked)
+        monkeypatch.setattr(FixtureBackend, "moderate", asked)
+        recorded = Path(__file__).parent / "data" / "desk_replay"
+        for workers in (1, 3):
+            report = replay_campaign(manifest, tmp_path / f"w{workers}", workers=workers)
+            assert report.report_json.read_bytes() == (recorded / "report.json").read_bytes()
+            assert report.report_csv.read_bytes() == (recorded / "report.csv").read_bytes()
+
+    @pytest.mark.parametrize("tamper", ["halved", "halved-digests-unrecorded", "swapped"])
+    def test_changed_seed_diverges_before_any_output(self, tmp_path, tamper):
+        # insult_0 cut to its first half, also in a manifest whose seed
+        # entries record no digest (then only the verdict tables tell), or
+        # overwritten with insult_1's audio, whose digest the tables hold
+        manifest = self._desk_tree(tmp_path / "tree")
+        wav = tmp_path / "tree" / "seeds" / "insult_0.wav"
+        if tamper == "halved-digests-unrecorded":
+            recorded = json.loads(manifest.read_text(encoding="utf-8"))
+            for entry in recorded["seeds"]:
+                del entry["digest"]
+            manifest.write_text(json.dumps(recorded), encoding="utf-8")
+        if tamper.startswith("halved"):
+            clip = read_wav(wav)
+            write_wav(AudioBuffer(clip.samples[:, : clip.frames // 2], clip.sample_rate), wav)
+        else:
+            shutil.copy(wav.with_name("insult_1.wav"), wav)
+        with pytest.raises(CampaignError, match="diverged: seed 'insult_0' has digest") as err:
+            replay_campaign(manifest, tmp_path / "replay", workers=3)
+        assert content_digest(read_wav(wav)) in str(err.value)
+        assert not (tmp_path / "replay").exists()
+
     def test_errors_cross_the_process_boundary(self, tmp_path):
         _, loud = _make_seed(tmp_path, "loud", 300.0, "insult")
         write_wav(AudioBuffer(np.zeros(8000), 16000), tmp_path / "quiet.wav")
@@ -973,32 +1012,10 @@ class TestProcessPath:
         assert raised[0] == raised[1] == (DomainError, "cannot target an SNR against silent input")
         assert multiprocessing.active_children() == []
 
-    def test_clip_only_withheld_when_no_backend_reads_it(self, tmp_path):
-        config, specs, buffers = _campaign_fixture(tmp_path, n_seeds=2)
-        script = {content_digest(buffers[s.seed_id]): s.category for s in specs}
-        table = {digest: Verdict(category) for digest, category in script.items()}
-
-        class SeenFixture(FixtureBackend):
-            def moderate(self, audio, digest):
-                seen.append(audio)
-                return super().moderate(audio, digest)
-
-        for backends, clip_given in [
-            ([SeenFixture(table, name="f")], False),
-            ([SeenFixture(table, name="f"), ScriptedBackend("b", script)], True),
-        ]:
-            seen = []
-            run_campaign(config, backends=backends)  # config.workers == 3
-            perturbed = seen[len(specs):]  # after the probe's seed queries
-            assert perturbed
-            assert all(isinstance(a, AudioBuffer) == clip_given for a in perturbed)
-            assert all(isinstance(a, AudioBuffer) for a in seen[: len(specs)])
-
     def test_threads_kept_off_linux(self, tmp_path, monkeypatch):
         # fork is unsafe where native libraries may run threads (macOS); a
         # case generated in this process is one generated on a pool thread
-        config, specs, buffers = _campaign_fixture(tmp_path, n_seeds=2)
-        table = {content_digest(buffers[s.seed_id]): Verdict(s.category) for s in specs}
+        manifest = self._recorded(tmp_path / "tree", 2, 2)
         generated = []
         generate = campaign._generate
 
@@ -1008,11 +1025,28 @@ class TestProcessPath:
 
         monkeypatch.setattr(campaign, "_generate", counted)
         monkeypatch.setattr(campaign.sys, "platform", "linux")
-        run_campaign(config, backends=[FixtureBackend(table, name="f")])  # workers == 3
+        replay_campaign(manifest, tmp_path / "linux", workers=3)
         assert generated == []  # on Linux the worker processes generate them
         monkeypatch.setattr(campaign.sys, "platform", "darwin")
-        run_campaign(config, backends=[FixtureBackend(table, name="f")])
-        assert len(generated) == len(specs) * len(config.mrs)
+        replay_campaign(manifest, tmp_path / "darwin", workers=3)
+        assert len(generated) == 2 * 2
+
+    def test_live_campaign_stays_on_threads(self, tmp_path, monkeypatch):
+        # a live campaign hands its backends the clips, so fixtures alone at
+        # workers > 1 still run on pool threads and see every clip
+        config, specs, buffers = _campaign_fixture(tmp_path, n_seeds=2)
+        table = {content_digest(buffers[s.seed_id]): Verdict(s.category) for s in specs}
+        seen = []
+
+        class SeenFixture(FixtureBackend):
+            def moderate(self, audio, digest):
+                seen.append(audio)
+                return super().moderate(audio, digest)
+
+        monkeypatch.setattr(campaign.sys, "platform", "linux")
+        run_campaign(config, backends=[SeenFixture(table, name="f")])  # workers == 3
+        assert len(seen) == 2 * len(specs)  # the seeds, then their louder clips
+        assert all(isinstance(audio, AudioBuffer) for audio in seen)
 
     def _recorded(self, root, n_seeds, n_mrs):
         """A campaign recorded at workers=1 over n_seeds seeds and the first

@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -261,6 +262,21 @@ def test_desk_manifest_that_cannot_replay_writes_no_report(capsys, tmp_path, edi
     assert message in err
     for name in ("report.json", "report.csv", "manifest.json"):
         assert not (tmp_path / "replay" / name).exists()
+
+
+def test_desk_replay_over_a_swapped_seed_writes_nothing(capsys, tmp_path):
+    """The checked-in desk manifest replayed over a corpus whose insult_0
+    holds insult_1's audio exits 2 naming insult_0, and makes no replay
+    directory, so no artifact either."""
+    deskcorpus.build_corpus(tmp_path, base_seed=100)
+    (tmp_path / "out").mkdir()
+    path = tmp_path / "out" / "manifest.json"
+    shutil.copy(Path(__file__).parent / "data" / "desk_replay" / "manifest.json", path)
+    shutil.copy(tmp_path / "seeds" / "insult_1.wav", tmp_path / "seeds" / "insult_0.wav")
+    got, stdout, err = run_cli(capsys, "campaign", str(tmp_path / "replay"), "--replay", str(path))
+    assert (got, stdout) == (2, "")
+    assert "diverged: seed 'insult_0' has digest" in err
+    assert not (tmp_path / "replay").exists()
 
 
 def test_manifest_cases_reproduce_through_perturb(capsys, tmp_path):

@@ -610,7 +610,6 @@ class _AnswersInsult(ModerationBackend):
     """Calls every clip an insult, from its digest alone."""
 
     name = "insult"
-    reads_audio = False
 
     def moderate(self, audio, digest):
         return Verdict(Category.INSULT, 0.5)
