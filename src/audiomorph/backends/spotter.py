@@ -10,9 +10,10 @@ The sweep over (template, window) pairs is batched, across clips too:
 ``dtw_distance`` call per group of equal-length templates, which
 computes each (clip frame, template frame) distance once, however many
 overlapping windows share that frame, and then fills the DP tables of many
-pairs at once, one anti-diagonal at a time. ``moderate_many`` and
-``calibrate_threshold`` sweep all their clips so; each clip's answer has
-the same bits as its own sweep. Two tie-break rules fix the
+pairs at once, one anti-diagonal at a time. Every answer comes from this
+one sweep: the backend's ``moderate_many`` and ``calibrate_threshold``
+sweep all their clips at once, and ``moderate`` sweeps its one clip, whose
+answer has the same bits either way. Two tie-break rules fix the
 answer exactly: inside the DP, among minimum-cost alignments the shortest
 path wins; across pairs, the first in (template, start) order wins, so a
 later pair must be strictly closer to replace it.
@@ -350,32 +351,11 @@ def _sweep_many(
     return results
 
 
-def _sweep(audio: AudioBuffer, templates, window_s: float, hop_s: float):
-    """``_sweep_many`` of one clip: its minimum distance and winning tag."""
-    return _sweep_many([audio], templates, window_s, hop_s)[0]
-
-
 def _verdict(distance: float, tag: Optional[str], threshold: float) -> Verdict:
     confidence = max(0.0, min(1.0, 1.0 - distance / threshold))
     if distance < threshold:
         return Verdict(Category.parse(tag), confidence)
     return Verdict(Category.NON_TOXIC, confidence)
-
-
-def spot_keywords(
-    audio: AudioBuffer,
-    templates: Sequence[Tuple[str, np.ndarray]],
-    window_s: float,
-    hop_s: float,
-    threshold: float,
-) -> Verdict:
-    """Slide a feature window over the clip; if the smallest DTW distance
-    to any template falls under the threshold, answer that template's
-    toxic tag, else non_toxic. Confidence is 1 - min_distance/threshold
-    clamped to [0, 1]."""
-    if threshold <= 0:
-        raise ParameterError(f"threshold must be positive, got {threshold}")
-    return _verdict(*_sweep(audio, templates, window_s, hop_s), threshold)
 
 
 _TEMPLATE_NAME = re.compile(r"^(?P<tag>[a-z_]+)__(?P<word>.+)\.wav$")
@@ -408,10 +388,23 @@ def load_templates(directory) -> List[Tuple[str, np.ndarray]]:
     return entries
 
 
+def check_settings(**settings: float) -> None:
+    """A ConfigError naming the first of the given spotter settings
+    (``threshold``, ``window_s``, ``hop_s``) that is not finite and > 0."""
+    for field, value in settings.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(
+                f"keyword spotter {field} must be finite and > 0, got {value!r}",
+                field=field,
+            )
+
+
 class KeywordSpotterBackend(ModerationBackend):
-    """Backend wrapper over spot_keywords with the templates of
-    ``templates_dir`` (see load_templates). ``threshold``, ``window_s`` and
-    ``hop_s`` must be finite and positive."""
+    """The spotter over the templates of ``templates_dir`` (see
+    load_templates): a clip whose smallest windowed DTW distance to a
+    template falls under ``threshold`` gets that template's toxic tag, else
+    non_toxic, with confidence 1 - distance/threshold clamped to [0, 1].
+    ``threshold``, ``window_s`` and ``hop_s`` are checked by check_settings."""
 
     def __init__(
         self,
@@ -421,12 +414,7 @@ class KeywordSpotterBackend(ModerationBackend):
         hop_s: float = 0.1,
         name: str = "keyword_spotter",
     ):
-        for field, value in (("threshold", threshold), ("window_s", window_s), ("hop_s", hop_s)):
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(
-                    f"keyword spotter {field} must be finite and > 0, got {value!r}",
-                    field=field,
-                )
+        check_settings(threshold=threshold, window_s=window_s, hop_s=hop_s)
         self.name = name
         self._templates = load_templates(templates_dir)
         self._threshold = float(threshold)
@@ -434,12 +422,10 @@ class KeywordSpotterBackend(ModerationBackend):
         self._hop_s = float(hop_s)
 
     def moderate(self, audio: AudioBuffer, digest: str) -> Verdict:
-        return spot_keywords(
-            audio, self._templates, self._window_s, self._hop_s, self._threshold
-        )
+        return self.moderate_many([audio], [digest])[0]
 
     def moderate_many(self, clips, digests) -> List[Verdict]:
-        """The verdicts of ``moderate``, from one sweep over every clip."""
+        """The clips' verdicts, from one sweep over every clip."""
         sweeps = _sweep_many(clips, self._templates, self._window_s, self._hop_s)
         return [_verdict(distance, tag, self._threshold) for distance, tag in sweeps]
 
@@ -452,7 +438,9 @@ def calibrate_threshold(
 ) -> Tuple[float, float]:
     """Fit the detection threshold from (clip, is_toxic) pairs: evaluate
     candidate thresholds at midpoints between observed distances and keep
-    the lowest one maximizing accuracy. Returns (threshold, accuracy)."""
+    the lowest one maximizing accuracy. Returns (threshold, accuracy).
+    ``window_s`` and ``hop_s`` are checked as a backend config's are."""
+    check_settings(window_s=window_s, hop_s=hop_s)
     if not labeled_clips:
         raise DomainError("calibration needs at least one labeled clip")
     sweeps = _sweep_many([clip for clip, _ in labeled_clips], templates, window_s, hop_s)

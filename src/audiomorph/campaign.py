@@ -60,9 +60,12 @@ from .errors import (
     write_json,
 )
 from .perturb import Perturbation
+from .perturb.basic import check_seed
 # benign_discontinuity_audio is unused here (perturb.OPS runs it), but
 # perfbench/tracing.py looks it up by name in this module
-from .perturb.linguistic import Transcript, benign_discontinuity_audio, load_transcript
+from .perturb.linguistic import (
+    Transcript, benign_discontinuity_audio, load_transcript, transcript_fault
+)
 
 # a seed job asks the backends about the clips it holds once they pass this
 # size, so a worker holds a bounded amount of audio however long the seeds
@@ -341,7 +344,7 @@ def _load_seeds(config: CampaignConfig) -> List[LoadedSeed]:
         # the discontinuity op's own checks, made before any backend is asked
         faults: Dict[str, List[str]] = {}
         for seed in seeds:
-            fault = _transcript_fault(seed)
+            fault = transcript_fault(seed.transcript, seed.audio.duration)
             if fault:
                 faults.setdefault(fault, []).append(seed.spec.seed_id)
         if faults:
@@ -351,18 +354,6 @@ def _load_seeds(config: CampaignConfig) -> List[LoadedSeed]:
                 field="transcript",
             )
     return seeds
-
-
-def _transcript_fault(seed: LoadedSeed) -> Optional[str]:
-    """Why the discontinuity op would reject the seed's transcript, or None."""
-    if seed.transcript is None:
-        return "without one"
-    alignment = seed.transcript.alignment
-    if alignment is None:
-        return "with an unaligned one"
-    if alignment and alignment[-1][1] > seed.audio.duration + 1e-9:
-        return "whose alignment ends past their audio"
-    return None
 
 
 def _split(items: Sequence, parts: int) -> list:
@@ -777,6 +768,14 @@ def _check_replayed(
         )
 
 
+def check_export(split: float, seed: int) -> None:
+    """A retraining export's ``split`` must lie in (0, 1), and its ``seed``
+    pass ``check_seed``: else a ParameterError."""
+    if not (0.0 < split < 1.0):
+        raise ParameterError(f"split must lie in (0, 1), got {split}")
+    check_seed(seed)
+
+
 def export_retraining_set(
     manifest_path,
     split: float,
@@ -788,8 +787,7 @@ def export_retraining_set(
     grouped by (relation, category), each group is shuffled with the given
     seed, and `split` of the group is tagged test with an equal share
     tagged train."""
-    if not (0.0 < split < 1.0):
-        raise ParameterError(f"split must lie in (0, 1), got {split}")
+    check_export(split, seed)
     manifest = _read_manifest(manifest_path, ("cases", "verdicts"))
     missed = {
         digest

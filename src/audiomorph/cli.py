@@ -24,6 +24,7 @@ from .audio import WavFormatError, content_digest, read_wav, write_wav
 from .campaign import (
     DEFAULT_WORKERS,
     CampaignConfig,
+    check_export,
     export_retraining_set,
     replay_campaign,
     run_campaign,
@@ -124,6 +125,8 @@ def _cmd_desk(args) -> int:
 def _cmd_campaign(args) -> int:
     if args.workers is not None and args.workers < 1:
         raise _UsageError("--workers must be >= 1")
+    if args.export_split is not None:
+        check_export(args.export_split, args.export_seed)
     if args.replay:
         # --replay reuses the config positional as the replay output directory
         report = replay_campaign(

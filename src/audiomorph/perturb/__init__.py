@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from ..audio import AudioBuffer
-from ..errors import ConfigError, DomainError, read_params, reject_unknown_keys
+from ..errors import ConfigError, read_params, reject_unknown_keys
 from . import basic, compound, linguistic
 
 PerturbationFn = Callable[..., AudioBuffer]
@@ -85,8 +85,6 @@ class Perturbation:
         """Run the op; the transcript goes only to ops that take one."""
         params = dict(self.params)
         if self.needs_transcript:
-            if transcript is None:
-                raise DomainError(f"{self.kind} requires a seed transcript")
             params["transcript"] = transcript
         return OPS[self.kind](audio, **params)
 

@@ -65,9 +65,21 @@ def _discontinuity_sites(
     return [i for i in range(len(tokens) - 1) if tokens[i + 1].lower() in target_set]
 
 
+def transcript_fault(transcript: Optional[Transcript], duration: float) -> Optional[str]:
+    """Why the discontinuity op cannot use ``transcript`` on a clip of
+    ``duration`` seconds, as a phrase completing "clips ...", or None."""
+    if transcript is None:
+        return "without one"
+    if transcript.alignment is None:
+        return "with an unaligned one"
+    if transcript.alignment and transcript.alignment[-1][1] > duration + 1e-9:
+        return "whose alignment ends past their audio"
+    return None
+
+
 def benign_discontinuity_audio(
     x: AudioBuffer,
-    transcript: Transcript,
+    transcript: Optional[Transcript],
     targets: Iterable[str],
     gap_s: float,
     repeats: int,
@@ -76,15 +88,14 @@ def benign_discontinuity_audio(
     ``repeats`` times, with gap_s of silence after every occurrence; the
     target itself is kept. Duration grows by (repeats-1)*span +
     repeats*gap_s per site, exact to one frame, and at most 10 s over all
-    sites (``MAX_TAIL_S``)."""
+    sites (``MAX_TAIL_S``). The transcript must pass ``transcript_fault``."""
+    fault = transcript_fault(transcript, x.duration)
+    if fault:
+        raise DomainError(f"audio discontinuity needs an aligned transcript, not clips {fault}")
     sites = _discontinuity_sites(transcript.tokens, targets, repeats)
     if not (math.isfinite(gap_s) and gap_s >= 0):
         raise ParameterError(f"gap must be finite and >= 0 s, got {gap_s}")
     alignment = transcript.alignment
-    if alignment is None:
-        raise DomainError("audio discontinuity needs a time-aligned transcript")
-    if alignment and alignment[-1][1] > x.duration + 1e-9:
-        raise DomainError("alignment extends past the end of the audio")
     rate = x.sample_rate
     gap_frames = int(round(gap_s * rate))
     spans = [(int(round(alignment[i][0] * rate)), int(round(alignment[i][1] * rate)))
@@ -110,7 +121,7 @@ def benign_discontinuity_audio(
     return AudioBuffer(np.concatenate(pieces, axis=1), rate)
 
 
-def load_transcript(path, language: str = "EN") -> Transcript:
+def load_transcript(path) -> Transcript:
     """Transcript file: one token per line, ``token<TAB>start_s<TAB>end_s``
     with the time columns optional (all lines aligned or none)."""
     tokens: List[str] = []
@@ -133,4 +144,4 @@ def load_transcript(path, language: str = "EN") -> Transcript:
                 raise ConfigError(f"{path}:{lineno}: expected 1 or 3 columns")
     if spans and len(spans) != len(tokens):
         raise ConfigError(f"{path}: mixed aligned and unaligned lines")
-    return Transcript(tuple(tokens), language, tuple(spans) if spans else None)
+    return Transcript(tuple(tokens), alignment=tuple(spans) if spans else None)

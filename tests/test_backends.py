@@ -559,32 +559,34 @@ class TestDtw:
             assert got[k, i, j] == math.sqrt(pairwise_sum(squares))
 
 
-class TestSpotKeywords:
+class TestSweep:
+    """``_sweep_many`` of one clip, and the verdict ``_verdict`` makes of it:
+    the path of every spotter answer."""
+
     def _template(self, freq=500.0):
         return spotter.extract_mfcc(sine(freq, duration_s=0.4, amplitude=0.5))
 
     def test_clip_that_is_a_template(self):
         clip = sine(500.0, duration_s=0.4, amplitude=0.5)
-        verdict = spotter.spot_keywords(
-            clip, [("insult", self._template())], 0.4, 0.1, threshold=10.0
-        )
+        [sweep] = spotter._sweep_many([clip], [("insult", self._template())], 0.4, 0.1)
+        verdict = spotter._verdict(*sweep, threshold=10.0)
         assert verdict.category is Category.INSULT
         assert verdict.confidence == 1.0  # distance exactly 0
 
     def test_window_longer_than_clip(self):
         clip = sine(500.0, duration_s=0.1)
         with pytest.raises(DomainError):
-            spotter.spot_keywords(clip, [("insult", self._template())], 0.4, 0.1, 10.0)
+            spotter._sweep_many([clip], [("insult", self._template())], 0.4, 0.1)
 
     def test_no_templates(self, tone_440):
         with pytest.raises(ParameterError):
-            spotter.spot_keywords(tone_440, [], 0.4, 0.1, 10.0)
+            spotter._sweep_many([tone_440], [], 0.4, 0.1)
 
     def test_distant_clip_non_toxic(self):
         clip = sine(3000.0, duration_s=0.6, amplitude=0.5)
         template = self._template(500.0)
-        d = spotter._sweep(clip, [("insult", template)], 0.4, 0.1)[0]
-        verdict = spotter.spot_keywords(clip, [("insult", template)], 0.4, 0.1, d / 2)
+        [(d, tag)] = spotter._sweep_many([clip], [("insult", template)], 0.4, 0.1)
+        verdict = spotter._verdict(d, tag, threshold=d / 2)
         assert verdict.category is Category.NON_TOXIC
         assert verdict.confidence == 0.0
 
@@ -607,7 +609,7 @@ class TestSpotKeywords:
         features = spotter.extract_mfcc(clip)
         assert len(features) == 98  # 38-frame windows start at 0, 10, ..., 60
         expected = loop_sweep(features, templates, 38, range(0, 61, 10))
-        assert spotter._sweep(clip, templates, 0.4, 0.1) == expected
+        assert spotter._sweep_many([clip], templates, 0.4, 0.1) == [expected]
 
     def test_multi_second_sweep_matches_loop_reference(self):
         # three desk seeds and a quarter second more: 323 feature frames, so
@@ -628,23 +630,23 @@ class TestSpotKeywords:
         assert len(features) == 323
         starts = [*range(0, 281, 10), 285]
         expected = loop_sweep(features, templates, 38, starts)
-        assert spotter._sweep(clip, templates, 0.4, 0.1) == expected
+        assert spotter._sweep_many([clip], templates, 0.4, 0.1) == [expected]
 
     def test_sweep_tie_breaks(self):
         template = self._template(500.0)
         clip = sine(500.0, duration_s=1.0, amplitude=0.5)
-        first = spotter._sweep(clip, [("insult", template), ("spam", template)], 0.4, 0.1)
+        first = spotter._sweep_many([clip], [("insult", template), ("spam", template)], 0.4, 0.1)[0]
         assert first[1] == "insult"
-        assert spotter._sweep(clip, [("spam", template), ("insult", template)], 0.4, 0.1) == (
-            first[0], "spam"
-        )
+        assert spotter._sweep_many(
+            [clip], [("spam", template), ("insult", template)], 0.4, 0.1
+        ) == [(first[0], "spam")]
         # silence: every window is the same, and the sweep reports the
         # distance of the one at start 0
         silence = AudioBuffer(np.zeros(RATE), RATE)
         features = spotter.extract_mfcc(silence)
-        assert spotter._sweep(silence, [("porn", template)], 0.4, 0.1) == (
-            loop_dtw(features[:38], template), "porn"
-        )
+        assert spotter._sweep_many([silence], [("porn", template)], 0.4, 0.1) == [
+            (loop_dtw(features[:38], template), "porn")
+        ]
 
     def test_embedded_template_found_mid_clip(self):
         word = sine(500.0, duration_s=0.4, amplitude=0.5)
@@ -654,12 +656,9 @@ class TestSpotKeywords:
             np.concatenate([lead.samples, word.samples, tail.samples], axis=1), RATE
         )
         template = self._template(500.0)
-        d_hit = spotter._sweep(clip, [("porn", template)], 0.4, 0.1)[0]
-        d_miss = spotter._sweep(lead, [("porn", template)], 0.4, 0.1)[0]
-        assert d_hit < d_miss
-        verdict = spotter.spot_keywords(
-            clip, [("porn", template)], 0.4, 0.1, threshold=(d_hit + d_miss) / 2
-        )
+        [hit, miss] = spotter._sweep_many([clip, lead], [("porn", template)], 0.4, 0.1)
+        assert hit[0] < miss[0]
+        verdict = spotter._verdict(*hit, threshold=(hit[0] + miss[0]) / 2)
         assert verdict.category is Category.PORN
 
 
@@ -736,7 +735,7 @@ class TestModerateMany:
         frames = [len(spotter.extract_mfcc(clip)) for clip in clips]
         lengths = {spotter._windows(c, n, 5.0, 1.0).shape[1] for c, n in zip(clips, frames)}
         assert lengths == {498, 499}
-        alone = [spotter._sweep(clip, template, 5.0, 1.0) for clip in clips]
+        alone = [spotter._sweep_many([clip], template, 5.0, 1.0)[0] for clip in clips]
         assert spotter._sweep_many(clips, template, 5.0, 1.0) == alone
 
     def test_default_leaves_only_the_failing_clip_unanswered(self, tone_440):
@@ -785,9 +784,17 @@ class TestTemplatesAndCalibration:
         clips = [(c, True) for c in toxic] + [(c, False) for c in benign]
         threshold, accuracy = spotter.calibrate_threshold(clips, templates)
         assert accuracy == 1.0
-        for clip, is_toxic in clips:
-            d = spotter._sweep(clip, templates, 0.4, 0.1)[0]
-            assert (d < threshold) == is_toxic
+        sweeps = spotter._sweep_many([clip for clip, _ in clips], templates, 0.4, 0.1)
+        assert [d < threshold for d, _ in sweeps] == [is_toxic for _, is_toxic in clips]
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["window_s", "hop_s"])
+    def test_calibration_checks_window_and_hop_as_a_config_does(self, field, value):
+        clips = [(sine(500.0, duration_s=0.4), True)]
+        templates = [("insult", spotter.extract_mfcc(sine(500.0, duration_s=0.4)))]
+        with pytest.raises(ConfigError, match=field) as err:
+            spotter.calibrate_threshold(clips, templates, **{field: value})
+        assert err.value.field == field
 
 
 class TestBuildBackend:

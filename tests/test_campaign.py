@@ -613,6 +613,24 @@ class TestTranscriptRelations:
         assert backend.calls == 0
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text, fault", [
+        (None, "without one"),
+        ("son\nof\nbitch\n", "with an unaligned one"),
+        ("son\t0.0\t0.2\nof\t0.2\t0.3\nbitch\t0.3\t0.6\n",
+         "whose alignment ends past their audio"),
+    ], ids=["missing", "unaligned", "past-the-audio"])
+    def test_op_and_campaign_name_the_same_fault(self, tmp_path, text, fault):
+        # the campaign's check before any query is the op's own rule
+        transcripts = [("a", _ALIGNED)] if text is None else [("a", _ALIGNED), ("b", text)]
+        config, _ = _transcribed_tree(tmp_path, transcripts)
+        with pytest.raises(ConfigError) as rejected:
+            run_campaign(config, backends=[ScriptedBackend("b", {})])
+        seed = load_seed(config.seeds[1])
+        with pytest.raises(DomainError) as raised:
+            config.mrs[0].apply(seed.audio, seed.transcript)
+        assert str(rejected.value).endswith(f"seeds {fault}: ['b']")
+        assert str(raised.value).endswith(f"not clips {fault}")
+
 
 class TestQueryOnce:
     def _script(self, specs, buffers):

@@ -619,6 +619,27 @@ class TestCampaign:
         assert all(r["mr"] == louder for r in rows)
 
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--export-split", "1.5"], ["--export-split", "0"], ["--export-split", "nan"],
+         ["--export-split", "0.5", "--export-seed", "-1"]],
+        ids=["split-1.5", "split-0", "split-nan", "seed--1"],
+    )
+    @pytest.mark.parametrize("toxic_fixture", [True, False], ids=["retained", "all-filtered"])
+    def test_bad_export_rejected_before_anything_runs(self, capsys, tmp_path, flags, toxic_fixture):
+        config = _write_campaign(tmp_path, toxic_fixture=toxic_fixture)
+        code, stdout, err = run_cli(capsys, "campaign", str(config), *flags)
+        assert code == 1
+        assert stdout == "" and err.startswith("parameter error: ")
+        assert not (tmp_path / "out").exists()
+        # a replay's export is checked before its manifest is read
+        code, stdout, err = run_cli(
+            capsys, "campaign", str(tmp_path / "replay"), "--replay", "missing.json", *flags
+        )
+        assert (code, stdout) == (1, "") and err.startswith("parameter error: ")
+        assert not (tmp_path / "replay").exists()
+
+
 class TestDesk:
     def test_quick_start(self, capsys, tmp_path):
         # README's quick start: build the corpus, run it with a retraining
@@ -684,6 +705,25 @@ class TestCalibrate:
         payload = json.loads(stdout)
         assert payload["accuracy"] == 1.0
         assert payload["threshold"] > 0
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--window", "0", "window_s"), ("--window", "nan", "window_s"),
+         ("--hop", "-5", "hop_s"), ("--hop", "nan", "hop_s")],
+    )
+    def test_window_and_hop_checked_as_a_config_does(self, capsys, tmp_path, flag, value, field):
+        templates = tmp_path / "templates"
+        templates.mkdir()
+        write_wav(sine(500.0, duration_s=0.4), templates / "insult__tone.wav")
+        write_wav(sine(500.0, duration_s=0.4), tmp_path / "hot.wav")
+        manifest = tmp_path / "clips.tsv"
+        manifest.write_text("hot.wav\ttoxic\n")
+        code, stdout, err = run_cli(
+            capsys, "calibrate", "--templates", str(templates), "--clips", str(manifest),
+            flag, value,
+        )
+        assert (code, stdout) == (1, "")
+        assert err.startswith("config error: ") and err.endswith(f"(field: {field})\n")
 
     def test_bad_manifest_line(self, capsys, tmp_path):
         templates = tmp_path / "templates"

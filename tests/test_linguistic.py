@@ -272,7 +272,6 @@ class TestFileFormats:
         path = tmp_path / "t.tsv"
         path.write_text("son\n", encoding="utf-8")
         assert lng.load_transcript(path).language == "EN"
-        assert lng.load_transcript(path, "ZH").language == "ZH"
 
     def test_transcript_unknown_language_rejected(self):
         with pytest.raises(ParameterError, match="language"):
